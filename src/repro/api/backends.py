@@ -336,7 +336,7 @@ class CompressedBondBackend(Backend):
 
 
 class ShardedBondBackend(Backend):
-    """Row-sharded parallel BOND: the fused batch engine per shard, merged.
+    """Row-sharded parallel BOND: the round driver per shard, merged.
 
     Serves both the exact and the compressed mode through one registration —
     ``exact`` / ``approx`` queries run

@@ -26,7 +26,6 @@ import time
 
 import numpy as np
 
-from repro._compat import apply_legacy_positionals
 from repro.core.compressed import contribution_interval
 from repro.core.result import BatchSearchResult, PruningTrace, SearchResult
 from repro.errors import QueryError
@@ -38,10 +37,7 @@ from repro.storage.compressed import CompressedStore
 class VAFile:
     """Filter-and-refine search over per-dimension scalar quantisation."""
 
-    def __init__(self, store: CompressedStore, *legacy, metric: Metric | None = None) -> None:
-        (metric,) = apply_legacy_positionals(
-            "VAFile(store, *, metric=...)", legacy, ("metric",), (metric,)
-        )
+    def __init__(self, store: CompressedStore, *, metric: Metric | None = None) -> None:
         self._store = store
         self._metric = metric if metric is not None else SquaredEuclidean()
 

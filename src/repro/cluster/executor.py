@@ -11,8 +11,9 @@ fused engine over the identical bytes:
   (:mod:`repro.cluster.shm`) — workers attach zero-copy;
 * per-shard stores are the same :meth:`row_slice` views over the same shard
   plan, charging the same private :class:`~repro.engine.cost.CostModel`
-  from the same checkpoints, so a worker's ``(result, cost delta)`` is
-  bitwise what the thread path computes for that shard;
+  from the same checkpoints through the same
+  :func:`~repro.core.parallel.shard_batch`, so a worker's ``(results, cost
+  delta)`` is bitwise what the thread path computes for that shard;
 * results travel back as plain picklable
   :class:`~repro.core.result.SearchResult` objects (float64 survives
   pickling bit for bit) and cost deltas as the explicit
@@ -37,7 +38,6 @@ the boundary as picklable specs either way.
 
 from __future__ import annotations
 
-import copy
 import multiprocessing
 import pickle
 import queue
@@ -46,8 +46,7 @@ import threading
 import numpy as np
 
 from repro.cluster.shm import SharedStoreSegment, StoreSpec, attach_store
-from repro.core.bond import BondSearcher
-from repro.core.compressed import CompressedBondSearcher
+from repro.core.parallel import EngineSpec, shard_batch
 from repro.engine.cost import CostAccount, CostModel
 from repro.errors import BackendError, QueryError, TransientBackendError
 from repro.storage.compressed import CompressedStore
@@ -58,83 +57,27 @@ from repro.storage.sharding import ShardPlan
 _JOIN_TIMEOUT = 5.0
 
 
-class EngineSpec:
-    """The picklable recipe a worker uses to build one shard's searcher.
-
-    Mirrors exactly the constructor arguments the thread-path engines in
-    :mod:`repro.core.parallel` forward to their per-shard searchers —
-    including the per-shard ``copy.copy`` of bound and schedule, which the
-    worker re-applies so no two shards share mutable scratch.
-    """
-
-    def __init__(
-        self,
-        *,
-        kind: str,
-        metric,
-        bound=None,
-        ordering=None,
-        schedule=None,
-        candidate_mode: str = "auto",
-        switch_selectivity: float = 0.05,
-        tile_rows: int = 8192,
-    ) -> None:
-        if kind not in ("exact", "compressed"):
-            raise QueryError(f"engine kind must be 'exact' or 'compressed', got {kind!r}")
-        self.kind = kind
-        self.metric = metric
-        self.bound = bound
-        self.ordering = ordering
-        self.schedule = schedule
-        self.candidate_mode = candidate_mode
-        self.switch_selectivity = switch_selectivity
-        self.tile_rows = int(tile_rows)
-
-    def build_searcher(self, store):
-        """One shard's searcher over its (attached) shard store."""
-        if self.kind == "compressed":
-            return CompressedBondSearcher(
-                store,
-                metric=self.metric,
-                ordering=self.ordering,
-                schedule=copy.copy(self.schedule) if self.schedule is not None else None,
-            )
-        return BondSearcher(
-            store,
-            metric=self.metric,
-            bound=copy.copy(self.bound) if self.bound is not None else None,
-            ordering=self.ordering,
-            schedule=copy.copy(self.schedule) if self.schedule is not None else None,
-            candidate_mode=self.candidate_mode,
-            switch_selectivity=self.switch_selectivity,
-        )
-
-
 def _shard_worker_main(conn, store_spec: StoreSpec, engine_spec: EngineSpec, plan: ShardPlan):
     """Worker loop: attach once, build shard searchers lazily, serve tasks.
 
-    Replies ``("ok", (payload, cost_wire))`` or ``("error", exception)``;
-    exits on a ``None`` sentinel or a closed pipe.  The per-task cost delta
-    is checkpointed exactly like the thread path: searcher construction
-    happens *before* the checkpoint, the engine run inside it.
+    Every task is one shard's batch ``(shard, queries, k)`` (a single query
+    is a batch of one), run by :func:`~repro.core.parallel.shard_batch` —
+    exactly what the thread path runs.  Replies ``("ok", (results,
+    cost_wire))`` or ``("error", exception)``; exits on a ``None`` sentinel
+    or a closed pipe.
     """
-    # The tiled engines live in repro.core.parallel, which imports this
-    # package lazily — import here (not at module top) to keep the cycle open.
-    from repro.core.parallel import TiledBatchQueryEngine, TiledCompressedBatchEngine
-
     attached = attach_store(store_spec)
-    shards: dict[int, tuple] = {}
+    searchers: dict[int, object] = {}
 
-    def shard_state(shard: int) -> tuple:
-        state = shards.get(shard)
-        if state is None:
+    def shard_searcher(shard: int):
+        searcher = searchers.get(shard)
+        if searcher is None:
             start, stop = plan.ranges[shard]
-            cost = CostModel()
             exact = DecomposedStore.row_slice(
                 attached.decomposed,
                 start,
                 stop,
-                cost=cost,
+                cost=CostModel(),
                 name=f"{store_spec.name}.shard{shard}",
             )
             if engine_spec.kind == "compressed":
@@ -143,9 +86,8 @@ def _shard_worker_main(conn, store_spec: StoreSpec, engine_spec: EngineSpec, pla
                 )
             else:
                 store = exact
-            state = (store, engine_spec.build_searcher(store))
-            shards[shard] = state
-        return state
+            searcher = searchers[shard] = engine_spec.build_searcher(store)
+        return searcher
 
     try:
         while True:
@@ -155,26 +97,10 @@ def _shard_worker_main(conn, store_spec: StoreSpec, engine_spec: EngineSpec, pla
                 break
             if message is None:
                 break
-            kind, shard, payload, k = message
+            shard, queries, k = message
             try:
-                store, searcher = shard_state(shard)
-                checkpoint = store.cost.checkpoint()
-                if kind == "search":
-                    result = searcher.search(payload, k)
-                elif kind == "batch":
-                    if engine_spec.kind == "compressed":
-                        engine = TiledCompressedBatchEngine(
-                            searcher, payload, k, tile_rows=engine_spec.tile_rows
-                        )
-                    else:
-                        engine = TiledBatchQueryEngine(
-                            searcher, payload, k, tile_rows=engine_spec.tile_rows
-                        )
-                    result = engine.run()
-                else:
-                    raise QueryError(f"unknown shard task {kind!r}")
-                wire = store.cost.since(checkpoint).to_wire()
-                reply = ("ok", (result, wire))
+                results, delta = shard_batch(shard_searcher(shard), queries, k)
+                reply = ("ok", (results, delta.to_wire()))
             except Exception as exc:  # ship the typed error back to the parent
                 try:
                     pickle.dumps(exc)
@@ -186,7 +112,7 @@ def _shard_worker_main(conn, store_spec: StoreSpec, engine_spec: EngineSpec, pla
             except (BrokenPipeError, OSError):
                 break
     finally:
-        shards.clear()
+        searchers.clear()
         attached.close()
         conn.close()
 
@@ -353,14 +279,7 @@ class ProcessShardExecutor:
             raise payload
         return payload
 
-    def search(self, shard: int, query: np.ndarray, k: int):
-        """One shard's single-query search: ``(SearchResult, CostAccount)``."""
-        result, wire = self._call(
-            ("search", shard, np.asarray(query, dtype=np.float64), int(k))
-        )
-        return result, CostAccount.from_wire(wire)
-
     def search_batch(self, shard: int, queries: np.ndarray, k: int):
-        """One shard's batch search: ``(list[SearchResult], CostAccount)``."""
-        results, wire = self._call(("batch", shard, queries, int(k)))
+        """One shard's batch: ``(list[SearchResult], CostAccount)``."""
+        results, wire = self._call((shard, queries, int(k)))
         return results, CostAccount.from_wire(wire)

@@ -23,35 +23,32 @@ Execution engines
 -----------------
 The searcher offers two engines with bit-for-bit identical results:
 
-* ``"fused"`` (default) processes one pruning period at a time: the period's
-  m fragments arrive as a single :meth:`~repro.core.candidates.CandidateSet.block_values`
-  gather and one fused kernel from :mod:`repro.kernels` computes all m
-  contribution columns at once, eliminating the per-dimension Python
-  round trips of the original loop;
+* ``"fused"`` (default) runs on the BOND round driver of
+  :mod:`repro.core.rounds`: one pruning period at a time, the period's m
+  fragments fold in one kernel call from :mod:`repro.kernels`.  A single
+  query is a batch of one; :meth:`BondSearcher.search_batch` advances a
+  whole batch in lockstep rounds that share each fragment read across every
+  query still streaming whole fragments;
 * ``"loop"`` is the seed per-dimension path, kept as the reference
-  implementation and benchmark baseline.
-
-For multi-query workloads, :meth:`BondSearcher.search_batch` executes a whole
-batch of queries concurrently, sharing each fragment read across every live
-query (see :mod:`repro.core.batch`).
+  implementation and benchmark baseline (single queries only).
 """
 
 from __future__ import annotations
 
-import time
+import copy
 
 import numpy as np
 
-from repro._compat import apply_legacy_positionals
 from repro.bounds.base import OrderStatistics, PartialState, PruningBound
 from repro.bounds.euclidean import EvBound
 from repro.bounds.histogram import HqBound
 from repro.bounds.weighted import WeightedEuclideanBound
-from repro.core.batch import BatchQueryEngine
+from repro.core import rounds
 from repro.core.candidates import CandidateMode, CandidateSet
 from repro.core.ordering import DecreasingQueryOrdering, DimensionOrdering
 from repro.core.planner import FixedPeriodSchedule, PruningSchedule
 from repro.core.result import BatchSearchResult, PruningTrace, SearchResult
+from repro.core.rounds import QueryRun
 from repro.errors import QueryError
 from repro.kernels import BlockKernel, accumulate_columns, kernel_for
 from repro.metrics.base import Metric, MetricKind
@@ -111,9 +108,7 @@ class BondSearcher:
     Notes
     -----
     All configuration parameters are keyword-only (the uniform
-    :class:`repro.api.Searcher` construction surface); the historical
-    positional shape ``BondSearcher(store, metric, bound)`` still works but
-    emits a :class:`DeprecationWarning`.
+    :class:`repro.api.Searcher` construction surface).
 
     A searcher owns reusable scratch buffers (kernel workspace, pruning
     bounds), so one instance must not run concurrent searches from multiple
@@ -123,7 +118,7 @@ class BondSearcher:
     def __init__(
         self,
         store: DecomposedStore,
-        *legacy,
+        *,
         metric: Metric | None = None,
         bound: PruningBound | None = None,
         ordering: DimensionOrdering | None = None,
@@ -132,12 +127,6 @@ class BondSearcher:
         switch_selectivity: float = 0.05,
         engine: str = "fused",
     ) -> None:
-        metric, bound = apply_legacy_positionals(
-            "BondSearcher(store, *, metric=..., bound=...)",
-            legacy,
-            ("metric", "bound"),
-            (metric, bound),
-        )
         if engine not in ("fused", "loop"):
             raise QueryError("engine must be 'fused' or 'loop'")
         self._store = store
@@ -149,6 +138,10 @@ class BondSearcher:
         self._switch_selectivity = switch_selectivity
         self._engine = engine
         self._kernel = kernel_for(self._metric)
+        # Accounting of the round driver: full-fragment reads stream the
+        # store's coefficients; each folded value costs the metric's ops.
+        self._read_bytes = store.coefficient_bytes
+        self._ops_per_value = self._metric.arithmetic_ops_per_value()
         # Reusable per-search scratch (lazily sized to the collection): the
         # full-scan workspace for the kernels and the bound/keep buffers of
         # the pruning attempts, so the hot path allocates nothing.
@@ -199,43 +192,8 @@ class BondSearcher:
             Optional :class:`~repro.core.result.PruningTrace` to record the
             pruning curve into (also attached to the returned result).
         """
-        started = time.perf_counter()
-        query, k, weights, dimension_order, schedule_length = self._prepare(query, k)
-        full_order = self._full_order(dimension_order, query.shape[0])
-        statistics = OrderStatistics(query, full_order, weights)
-
-        candidates = self.make_candidates()
-        trace = trace if trace is not None else PruningTrace()
-        trace.record(0, len(candidates))
-
-        cost_checkpoint = self._store.cost.checkpoint()
-        run = self._run_loop if self._engine == "loop" else self._run_fused
-        processed, full_scan_dimensions = run(
-            query,
-            dimension_order,
-            full_order,
-            statistics,
-            candidates,
-            k,
-            weights,
-            trace,
-            self._schedule,
-            schedule_length,
-        )
-
-        final_scores = self._finish_scores(query, dimension_order, processed, candidates)
-        oids, scores = self._rank(candidates.oids, final_scores, k)
-        elapsed = time.perf_counter() - started
-
-        return SearchResult(
-            oids=oids,
-            scores=scores,
-            dimensions_processed=processed,
-            full_scan_dimensions=full_scan_dimensions,
-            candidate_trace=trace,
-            cost=self._store.cost.since(cost_checkpoint),
-            elapsed_seconds=elapsed,
-        )
+        reference = self._run_loop if self._engine == "loop" else None
+        return rounds.search_one(self, query, k, trace, reference=reference)
 
     def search_batch(self, queries: np.ndarray, k: int) -> BatchSearchResult:
         """Answer a whole batch of queries, sharing fragment reads.
@@ -243,11 +201,11 @@ class BondSearcher:
         Every query runs the exact single-query algorithm — its own dimension
         order, pruning schedule and candidate set — so each returned
         :class:`~repro.core.result.SearchResult` is bitwise identical to what
-        :meth:`search` would return for that query.  The batch engine differs
-        only in *how storage is touched*: per execution round, the union of
-        all live queries' next fragment blocks is gathered once and served to
-        every query, so one sequential pass over a column answers the whole
-        batch (see :mod:`repro.core.batch`).
+        :meth:`search` would return for that query.  The batch differs only
+        in *how storage is touched*: per round, the union of the blocks of
+        every query still streaming whole fragments is read once and served
+        to all of them (see :mod:`repro.core.rounds`).  Batches always run
+        the fused engine.
 
         Parameters
         ----------
@@ -263,25 +221,12 @@ class BondSearcher:
         query in submission order; cost and wall-clock time are accounted at
         batch level because fragment reads are shared.
         """
-        started = time.perf_counter()
-        query_matrix = np.atleast_2d(np.asarray(queries, dtype=np.float64))
-        if query_matrix.ndim != 2:
-            raise QueryError(f"queries must form a 2-D matrix, got shape {query_matrix.shape}")
-        cost_checkpoint = self._store.cost.checkpoint()
-        engine = BatchQueryEngine(self, query_matrix, k)
-        results = engine.run()
-        return BatchSearchResult(
-            results=results,
-            cost=self._store.cost.since(cost_checkpoint),
-            elapsed_seconds=time.perf_counter() - started,
-        )
+        return rounds.search_batch(self, queries, k)
 
-    # -- shared per-query plumbing (also used by the batch engine) ---------------
+    # -- round-driver hooks (see repro.core.rounds) -----------------------------
 
-    def _prepare(
-        self, query: np.ndarray, k: int
-    ) -> tuple[np.ndarray, int, np.ndarray | None, np.ndarray, int]:
-        """Validate one query and plan its dimension order."""
+    def _plan(self, query: np.ndarray, k: int, *, trace: PruningTrace | None = None) -> QueryRun:
+        """Validate one query and set up its run: order, candidates, schedule."""
         query = self._metric.validate_query(query)
         if query.shape[0] != self._store.dimensionality:
             raise QueryError(
@@ -292,205 +237,118 @@ class BondSearcher:
         k = min(k, self._store.cardinality)
 
         weights = self._metric.weights if isinstance(self._metric, WeightedSquaredEuclidean) else None
-        dimension_order = self._ordering.order(query, weights=weights)
+        order = self._ordering.order(query, weights=weights)
         if weights is not None:
             # Subspace fast path: zero-weight dimensions contribute nothing
             # and their fragments never need to be touched (Section 8.1).
-            dimension_order = dimension_order[weights[dimension_order] > 0.0]
-        schedule_length = (
-            self._store.dimensionality if weights is None else int(dimension_order.shape[0])
+            order = order[weights[order] > 0.0]
+        full_order = order
+        if order.shape[0] != query.shape[0]:
+            # The pruning bounds define "remaining dimensions" as everything
+            # after the processed prefix: the zero-weight dimensions go last,
+            # so they count as remaining but never get processed (their
+            # weight is zero, so they add nothing to the weighted bounds).
+            missing = np.setdiff1d(
+                np.arange(query.shape[0], dtype=np.int64), order, assume_unique=True
+            )
+            full_order = np.concatenate([order, missing])
+        return QueryRun(
+            query=query,
+            k=k,
+            order=order,
+            # Adaptive schedules carry per-search state, so every run gets its
+            # own (shallow — schedules hold only scalar configuration) copy.
+            schedule=copy.copy(self._schedule),
+            candidates=CandidateSet(
+                self._store,
+                track_partial_sums=self._bound.needs_partial_value_sums,
+                track_remaining_sums=self._bound.needs_remaining_value_sums,
+                mode=self._candidate_mode,
+                switch_selectivity=self._switch_selectivity,
+            ),
+            weights=weights,
+            full_order=full_order,
+            statistics=OrderStatistics(query, full_order, weights),
+            trace=trace if trace is not None else PruningTrace(),
         )
-        return query, k, weights, dimension_order, schedule_length
 
-    def make_candidates(self) -> CandidateSet:
-        """A fresh candidate set with the bookkeeping this searcher's bound needs."""
-        return CandidateSet(
-            self._store,
-            track_partial_sums=self._bound.needs_partial_value_sums,
-            track_remaining_sums=self._bound.needs_remaining_value_sums,
-            mode=self._candidate_mode,
-            switch_selectivity=self._switch_selectivity,
-        )
+    def _shares_reads(self, run: QueryRun) -> bool:
+        """Bitmap candidates stream whole fragments past the filter."""
+        return run.candidates.mode is CandidateMode.BITMAP
 
-    # -- execution engines -------------------------------------------------------
+    def _full_columns(self, dimensions: np.ndarray) -> list[np.ndarray]:
+        """Uncharged zero-copy fragment columns (the round charges the read)."""
+        return self._store.fragment_columns(dimensions, charge=False)
 
-    def _run_loop(
+    def _fold_rows(
         self,
-        query: np.ndarray,
-        dimension_order: np.ndarray,
-        full_order: np.ndarray,
-        statistics: OrderStatistics,
-        candidates: CandidateSet,
-        k: int,
-        weights: np.ndarray | None,
-        trace: PruningTrace,
-        schedule: PruningSchedule,
-        schedule_length: int,
-    ) -> tuple[int, int]:
-        """The seed per-dimension reference engine."""
-        total_dimensions = int(dimension_order.shape[0])
-        processed = 0
-        full_scan_dimensions = 0
-        next_attempt = processed + schedule.first_batch(schedule_length)
+        run: QueryRun,
+        dimensions: np.ndarray,
+        columns: list[np.ndarray],
+        start: int,
+        stop: int,
+    ) -> None:
+        """Fold full fragment columns into the rows ``[start, stop)``.
 
-        while processed < total_dimensions and len(candidates) > k:
-            dimension = int(dimension_order[processed])
+        The fragments are streamed in place: no gather, no fresh allocation,
+        per-column temporaries in the reused workspace.
+        """
+        rows = stop - start
+        if self._scan_workspace.shape[0] < rows:
+            self._scan_workspace = np.empty(rows, dtype=np.float64)
+        tile = [column[start:stop] for column in columns]
+        self._kernel.accumulate_scan(
+            tile,
+            run.query[dimensions],
+            dimensions,
+            run.candidates.partial_scores[start:stop],
+            self._scan_workspace[:rows],
+        )
+        run.candidates.accumulate_value_columns(tile, rows=slice(start, stop))
+
+    def _fold_own(self, run: QueryRun, dimensions: np.ndarray, *, charge: bool) -> None:
+        """Fold one block over the run's own candidates as one gather and one
+        kernel call; ``charge=False`` when the round already paid the read."""
+        candidates = run.candidates
+        if charge:
+            values = candidates.block_values(dimensions)
+        else:
+            values = self._store.gather_block(dimensions, oids=candidates.oids, charge=None)
+        contribution_block = self._kernel.contribution_block(
+            values, run.query[dimensions], dimensions
+        )
+        candidates.accumulate_block(contribution_block, values)
+
+    def _run_loop(self, run: QueryRun) -> None:
+        """The seed per-dimension reference engine."""
+        candidates = run.candidates
+        while not run.finished:
+            dimension = int(run.order[run.processed])
             column = candidates.column_values(dimension)
-            contributions = self._metric.contributions(column, query[dimension], dimension=dimension)
-            self._store.cost.charge_arithmetic(len(column) * self._metric.arithmetic_ops_per_value())
+            contributions = self._metric.contributions(column, run.query[dimension], dimension=dimension)
+            self._store.cost.charge_arithmetic(len(column) * self._ops_per_value)
             candidates.accumulate(contributions, column)
             if candidates.mode is CandidateMode.BITMAP:
-                full_scan_dimensions += 1
-            processed += 1
-
-            if processed >= next_attempt or processed == total_dimensions:
-                next_attempt = processed + self._prune_and_plan(
-                    query, full_order, statistics, processed, candidates, k, weights,
-                    trace, schedule, schedule_length,
-                )
-        return processed, full_scan_dimensions
-
-    def _run_fused(
-        self,
-        query: np.ndarray,
-        dimension_order: np.ndarray,
-        full_order: np.ndarray,
-        statistics: OrderStatistics,
-        candidates: CandidateSet,
-        k: int,
-        weights: np.ndarray | None,
-        trace: PruningTrace,
-        schedule: PruningSchedule,
-        schedule_length: int,
-    ) -> tuple[int, int]:
-        """The fused block-scan engine: one kernel call per pruning period.
-
-        Processes the same dimensions, attempts the same prunes with the same
-        bounds and folds contributions in the same order as :meth:`_run_loop`,
-        so the results (and the accounted cost) are bitwise identical — the
-        only difference is that each pruning period costs one storage gather
-        and one kernel call instead of m per-dimension round trips.
-        """
-        total_dimensions = int(dimension_order.shape[0])
-        processed = 0
-        full_scan_dimensions = 0
-        next_attempt = schedule.first_batch(schedule_length)
-
-        while processed < total_dimensions and len(candidates) > k:
-            block_end = min(max(next_attempt, processed + 1), total_dimensions)
-            block_dimensions = dimension_order[processed:block_end]
-            self._scan_block(candidates, query, block_dimensions)
-            if candidates.mode is CandidateMode.BITMAP:
-                full_scan_dimensions += int(block_dimensions.shape[0])
-            processed = block_end
-
-            if processed >= next_attempt or processed == total_dimensions:
-                next_attempt = processed + self._prune_and_plan(
-                    query, full_order, statistics, processed, candidates, k, weights,
-                    trace, schedule, schedule_length,
-                )
-        return processed, full_scan_dimensions
+                run.full_scan_dimensions += 1
+            run.consume(1, self._prune)
 
     # -- internals -----------------------------------------------------------------
 
-    def _prune_and_plan(
-        self,
-        query: np.ndarray,
-        full_order: np.ndarray,
-        statistics: OrderStatistics,
-        processed: int,
-        candidates: CandidateSet,
-        k: int,
-        weights: np.ndarray | None,
-        trace: PruningTrace,
-        schedule: PruningSchedule,
-        schedule_length: int,
-    ) -> int:
-        """One pruning checkpoint: attempt the prune, record the trace point
-        and return how many dimensions to process before the next attempt.
-
-        This is the single copy of the checkpoint logic shared by the loop
-        engine, the fused engine and the batch engine — the bitwise-identity
-        guarantee between them rests on all three calling exactly this.
-        """
-        before = len(candidates)
-        self._attempt_prune(query, full_order, statistics, processed, candidates, k, weights)
-        trace.record(processed, len(candidates))
-        return schedule.next_batch(
-            dimensionality=schedule_length,
-            dimensions_processed=processed,
-            candidates_before=before,
-            candidates_after=len(candidates),
-        )
-
-    def _scan_block(
-        self,
-        candidates: CandidateSet,
-        query: np.ndarray,
-        block_dimensions: np.ndarray,
-        *,
-        charge_storage: bool = True,
-    ) -> None:
-        """Fold one pruning period into the candidate state with one kernel call.
-
-        While every vector is still alive (full-bitmap phase — where almost
-        all the bytes of a query are moved) the fragments are streamed in
-        place: no gather, no fresh allocations, per-column temporaries in the
-        reused workspace.  Afterwards the block arrives as one restricted
-        gather.  ``charge_storage=False`` lets the batch engine charge one
-        shared read for a whole round instead.
-        """
-        cost = self._store.cost
-        if candidates.mode is CandidateMode.BITMAP and candidates.is_full():
-            columns = self._store.fragment_columns(block_dimensions, charge=charge_storage)
-            if self._scan_workspace.shape[0] < len(candidates):
-                self._scan_workspace = np.empty(len(candidates), dtype=np.float64)
-            cost.charge_arithmetic(
-                len(candidates)
-                * int(block_dimensions.shape[0])
-                * self._metric.arithmetic_ops_per_value()
-            )
-            self._kernel.accumulate_scan(
-                columns,
-                query[block_dimensions],
-                block_dimensions,
-                candidates.partial_scores,
-                self._scan_workspace[: len(candidates)],
-            )
-            candidates.accumulate_value_columns(columns)
-            return
-        if charge_storage:
-            values = candidates.block_values(block_dimensions)
-        else:
-            values = self._store.gather_block(block_dimensions, oids=candidates.oids, charge=None)
-        contribution_block = self._kernel.contribution_block(
-            values, query[block_dimensions], block_dimensions
-        )
-        cost.charge_arithmetic(values.size * self._metric.arithmetic_ops_per_value())
-        candidates.accumulate_block(contribution_block, values)
-
-    def _attempt_prune(
-        self,
-        query: np.ndarray,
-        full_order: np.ndarray,
-        statistics: OrderStatistics,
-        processed: int,
-        candidates: CandidateSet,
-        k: int,
-        weights: np.ndarray | None,
-    ) -> None:
+    def _prune(self, run: QueryRun) -> None:
         """One pruning attempt: bound every candidate and drop the hopeless ones."""
+        candidates = run.candidates
+        k = run.k
         if len(candidates) <= k:
             return
         state = PartialState(
-            query=query,
-            order=full_order,
-            num_processed=processed,
+            query=run.query,
+            order=run.full_order,
+            num_processed=run.processed,
             partial_scores=candidates.partial_scores,
             partial_value_sums=candidates.partial_value_sums,
             remaining_value_sums=candidates.remaining_value_sums,
-            weights=weights,
-            order_statistics=statistics,
+            weights=run.weights,
+            order_statistics=run.statistics,
         )
         if not self._bound.pruning_worthwhile(state):
             return
@@ -522,43 +380,22 @@ class BondSearcher:
             np.less_equal(lower, kappa, out=keep)
         candidates.prune(keep)
 
-    def _full_order(self, order: np.ndarray, dimensionality: int) -> np.ndarray:
-        """Extend a (possibly subspace-restricted) order to all dimensions.
-
-        The pruning bounds define "remaining dimensions" as everything after
-        the processed prefix; for subspace queries the zero-weight dimensions
-        are appended at the end so they count as remaining but never get
-        processed (their weight is zero, so they contribute nothing to the
-        weighted bounds either).
-        """
-        if order.shape[0] == dimensionality:
-            return order
-        missing = np.setdiff1d(np.arange(dimensionality, dtype=np.int64), order, assume_unique=True)
-        return np.concatenate([order, missing])
-
-    def _finish_scores(
-        self,
-        query: np.ndarray,
-        order: np.ndarray,
-        processed: int,
-        candidates: CandidateSet,
-    ) -> np.ndarray:
-        """Complete the survivors' exact scores on the unprocessed dimensions."""
+    def _finalize(self, run: QueryRun) -> tuple[np.ndarray, np.ndarray]:
+        """Complete the survivors' exact scores on the unprocessed dimensions
+        and return the best k (OIDs, scores), best first, with deterministic
+        tie-breaks."""
+        candidates = run.candidates
         scores = candidates.partial_scores.copy()
-        remaining = order[processed:]
-        if remaining.shape[0] == 0 or len(candidates) == 0:
-            return scores
-        values = self._store.gather_matrix(candidates.oids, remaining)
-        self._store.cost.charge_arithmetic(values.size * self._metric.arithmetic_ops_per_value())
-        contribution_block = self._kernel.contribution_block(values, query[remaining], remaining)
-        accumulate_columns(scores, contribution_block)
-        return scores
-
-    def _rank(self, oids: np.ndarray, scores: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
-        """Best k (OIDs, scores), best first, with deterministic tie-breaks."""
+        remaining = run.order[run.processed:]
+        if remaining.shape[0] and len(candidates):
+            values = self._store.gather_matrix(candidates.oids, remaining)
+            self._store.cost.charge_arithmetic(values.size * self._ops_per_value)
+            contribution_block = self._kernel.contribution_block(
+                values, run.query[remaining], remaining
+            )
+            accumulate_columns(scores, contribution_block)
         if scores.shape[0] == 0:
             return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.float64)
         self._store.cost.charge_heap(scores.shape[0])
-        order = self._metric.best_first(scores)
-        top = order[:k]
-        return oids[top], scores[top]
+        top = self._metric.best_first(scores)[: run.k]
+        return candidates.oids[top], scores[top]

@@ -20,32 +20,31 @@ Execution engines
 Like :class:`~repro.core.bond.BondSearcher`, the compressed searcher offers
 two engines with bit-for-bit identical results:
 
-* ``"fused"`` (default) processes one pruning period at a time: the period's
-  m code columns arrive in a single :meth:`~repro.storage.compressed.CompressedStore.code_columns`
-  call and one interval kernel from :mod:`repro.kernels.interval` dequantises
-  and accumulates all m (lower, upper) contribution columns inside a reusable
-  workspace;
+* ``"fused"`` (default) runs on the BOND round driver of
+  :mod:`repro.core.rounds`: one pruning period at a time, the period's m
+  code columns are dequantised and folded into (lower, upper) interval
+  scores by one kernel from :mod:`repro.kernels.interval` inside a reusable
+  workspace.  A single query is a batch of one;
+  :meth:`CompressedBondSearcher.search_batch` shares each compressed
+  fragment read across every query of a round still streaming whole code
+  columns;
 * ``"loop"`` is the seed per-dimension path, kept as the reference
-  implementation and benchmark baseline.
-
-For multi-query workloads, :meth:`CompressedBondSearcher.search_batch`
-executes a whole batch of queries concurrently, sharing each compressed
-fragment read across every live query (see
-:class:`~repro.core.batch.CompressedBatchEngine`).
+  implementation and benchmark baseline (single queries only).
 """
 
 from __future__ import annotations
 
 import copy
-import time
+from dataclasses import dataclass
 
 import numpy as np
 
-from repro._compat import apply_legacy_positionals
-from repro.core.batch import CompressedBatchEngine, CompressedQueryRun
+from repro.core import rounds
 from repro.core.ordering import DecreasingQueryOrdering, DimensionOrdering
 from repro.core.planner import FixedPeriodSchedule, PruningSchedule
 from repro.core.result import BatchSearchResult, PruningTrace, SearchResult
+from repro.core.rounds import QueryRun
+from repro.engine.cost import COMPRESSED_BYTES
 from repro.errors import QueryError
 from repro.kernels.interval import (
     IntervalBlockKernel,
@@ -87,6 +86,18 @@ def contribution_interval(
     return lower, upper
 
 
+@dataclass
+class IntervalCandidates:
+    """The filter's surviving OIDs with their interval partial scores."""
+
+    oids: np.ndarray
+    lower: np.ndarray
+    upper: np.ndarray
+
+    def __len__(self) -> int:
+        return int(self.oids.shape[0])
+
+
 class CompressedBondSearcher:
     """Branch-and-bound filter over quantised fragments plus exact refinement.
 
@@ -116,15 +127,12 @@ class CompressedBondSearcher:
     def __init__(
         self,
         store: CompressedStore,
-        *legacy,
+        *,
         metric: Metric | None = None,
         ordering: DimensionOrdering | None = None,
         schedule: PruningSchedule | None = None,
         engine: str = "fused",
     ) -> None:
-        (metric,) = apply_legacy_positionals(
-            "CompressedBondSearcher(store, *, metric=...)", legacy, ("metric",), (metric,)
-        )
         if engine not in ("fused", "loop"):
             raise QueryError("engine must be 'fused' or 'loop'")
         self._store = store
@@ -134,6 +142,10 @@ class CompressedBondSearcher:
         self._engine = engine
         self._interval_kernel = interval_kernel_for(self._metric)
         self._workspace = IntervalWorkspace()
+        # Accounting of the round driver: full reads stream 1-byte codes;
+        # each folded value costs the metric's ops twice (lower and upper).
+        self._read_bytes = COMPRESSED_BYTES
+        self._ops_per_value = 2 * self._metric.arithmetic_ops_per_value()
         # Once the candidate set has shrunk below this fraction the filter
         # fetches only the candidates' codes instead of whole fragments.
         self._positional_threshold = 0.05 * self._store.cardinality
@@ -160,27 +172,8 @@ class CompressedBondSearcher:
 
     def search(self, query: np.ndarray, k: int, *, trace: PruningTrace | None = None) -> SearchResult:
         """Return the exact k nearest neighbours via filter-and-refine."""
-        started = time.perf_counter()
-        run = self._plan(0, query, k, trace=trace)
-        cost = self._store.cost
-        checkpoint = cost.checkpoint()
-
-        if self._engine == "loop":
-            self._run_loop(run)
-        else:
-            while not run.finished:
-                self._advance(run, run.next_block(), charge_storage=True)
-
-        oids, scores = self._refine(run.query, run.oids, run.order, run.k)
-        return SearchResult(
-            oids=oids,
-            scores=scores,
-            dimensions_processed=run.processed,
-            full_scan_dimensions=run.full_scan_dimensions,
-            candidate_trace=run.trace,
-            cost=cost.since(checkpoint),
-            elapsed_seconds=time.perf_counter() - started,
-        )
+        reference = self._run_loop if self._engine == "loop" else None
+        return rounds.search_one(self, query, k, trace, reference=reference)
 
     def search_batch(self, queries: np.ndarray, k: int) -> BatchSearchResult:
         """Answer a whole batch of queries, sharing compressed fragment reads.
@@ -188,14 +181,12 @@ class CompressedBondSearcher:
         Every query runs the exact single-query filter — its own dimension
         order, pruning schedule, candidate list and interval scores — so each
         returned :class:`~repro.core.result.SearchResult` is bitwise identical
-        to what :meth:`search` would return for that query.  Batch rounds
-        always execute through the fused interval kernels regardless of the
-        ``engine`` setting (the per-dimension loop exists as a single-query
-        reference; its batched timing would not describe any real engine).  Per execution
-        round, the union of all full-scanning queries' next fragment blocks is
-        read (and charged) once for the whole batch; queries that have shrunk
-        below the positional threshold fetch only their own candidates' codes
-        (see :class:`~repro.core.batch.CompressedBatchEngine`).
+        to what :meth:`search` would return for that query.  Batches always
+        run the fused interval kernels (the per-dimension loop is a
+        single-query reference).  Per round, the union of the blocks of every
+        query still streaming whole code columns is read (and charged) once;
+        queries below the positional threshold fetch only their own
+        candidates' codes (see :mod:`repro.core.rounds`).
 
         Parameters
         ----------
@@ -211,25 +202,11 @@ class CompressedBondSearcher:
         query in submission order; cost and wall-clock time are accounted at
         batch level because fragment reads are shared.
         """
-        started = time.perf_counter()
-        query_matrix = np.atleast_2d(np.asarray(queries, dtype=np.float64))
-        if query_matrix.ndim != 2:
-            raise QueryError(f"queries must form a 2-D matrix, got shape {query_matrix.shape}")
-        cost = self._store.cost
-        checkpoint = cost.checkpoint()
-        engine = CompressedBatchEngine(self, query_matrix, k)
-        results = engine.run()
-        return BatchSearchResult(
-            results=results,
-            cost=cost.since(checkpoint),
-            elapsed_seconds=time.perf_counter() - started,
-        )
+        return rounds.search_batch(self, queries, k)
 
-    # -- shared per-query plumbing (also used by the batch engine) ---------------
+    # -- round-driver hooks (see repro.core.rounds) -----------------------------
 
-    def _plan(
-        self, index: int, query: np.ndarray, k: int, *, trace: PruningTrace | None = None
-    ) -> CompressedQueryRun:
+    def _plan(self, query: np.ndarray, k: int, *, trace: PruningTrace | None = None) -> QueryRun:
         """Validate one query and set up its independent filter state."""
         query = self._metric.validate_query(query)
         if query.shape[0] != self._store.dimensionality:
@@ -253,210 +230,128 @@ class CompressedBondSearcher:
             self._store.cell_widths,
             query,
         )
-        # Adaptive schedules carry per-search state, so every run gets its
-        # own (shallow — schedules hold only scalar configuration) copy.
-        schedule = copy.copy(self._schedule)
-        run = CompressedQueryRun(
-            index=index,
+        cardinality = self._store.cardinality
+        return QueryRun(
             query=query,
             k=k,
             order=order,
+            # Adaptive schedules carry per-search state, so every run gets its
+            # own (shallow — schedules hold only scalar configuration) copy.
+            schedule=copy.copy(self._schedule),
+            candidates=IntervalCandidates(
+                oids=np.arange(cardinality, dtype=np.int64),
+                lower=np.zeros(cardinality, dtype=np.float64),
+                upper=np.zeros(cardinality, dtype=np.float64),
+            ),
             weights=weights,
-            schedule=schedule,
-            oids=np.arange(self._store.cardinality, dtype=np.int64),
-            score_lower=np.zeros(self._store.cardinality, dtype=np.float64),
-            score_upper=np.zeros(self._store.cardinality, dtype=np.float64),
             zero_dimensions=zero_mask if bool(zero_mask.any()) else None,
             trace=trace if trace is not None else PruningTrace(),
         )
-        run.trace.record(0, len(run.oids))
-        run.next_attempt = schedule.first_batch(run.total_dimensions)
-        return run
 
-    def _is_positional(self, run: CompressedQueryRun) -> bool:
-        """Whether a run fetches candidate codes instead of whole fragments."""
-        return run.oids.shape[0] <= self._positional_threshold
+    def _shares_reads(self, run: QueryRun) -> bool:
+        """Filters above the positional threshold stream whole code columns;
+        below it they fetch only their candidates' codes."""
+        return len(run.candidates) > self._positional_threshold
 
-    def _active_block(
-        self, run: CompressedQueryRun, block_dimensions: np.ndarray
-    ) -> np.ndarray:
-        """The block's dimensions minus the run's provably-zero ones.
+    def _full_columns(self, dimensions: np.ndarray) -> list[np.ndarray]:
+        """Uncharged zero-copy code columns (the round charges the read)."""
+        return self._store.code_columns(dimensions, charge=False)
 
-        Skipped dimensions still count as *processed* (they sit in the
-        dimension order and the pruning bounds treat them as consumed), but
-        they are never fetched, dequantised, accumulated or charged — their
-        contribution is exactly 0.0 for every candidate, so the accumulated
-        floats are unchanged.
-        """
-        if run.zero_dimensions is None:
-            return block_dimensions
-        return block_dimensions[~run.zero_dimensions[block_dimensions]]
-
-    def _advance(
+    def _fold_rows(
         self,
-        run: CompressedQueryRun,
-        block_dimensions: np.ndarray,
-        *,
-        charge_storage: bool,
-    ) -> None:
-        """Fold one pruning period into a run's interval scores with one
-        kernel call, then attempt its prune.
-
-        Processes the same dimensions, accumulates the same (lower, upper)
-        contributions in the same left-to-right order and prunes with the same
-        bounds as the per-dimension reference loop, so results and accounted
-        cost are bitwise identical — each period just costs one storage call
-        and one kernel call instead of m Python-level round trips.
-        ``charge_storage=False`` lets the batch engine charge one shared read
-        for a whole round instead.
-        """
-        store = self._store
-        count = run.oids.shape[0]
-        active = self._active_block(run, block_dimensions)
-        positional = self._is_positional(run)
-        if count == store.cardinality:
-            if active.size:
-                # Full-collection phase: stream the whole code columns in
-                # place, no gather needed.
-                code_columns = store.code_columns(active, charge=charge_storage)
-                self._fold_full_columns(run, active, code_columns, 0, count)
-        elif active.size:
-            # Restricted phase: gather the candidates' codes (1 byte each —
-            # bitwise identical to the loop's slice-after-dequantise but 8x
-            # lighter per value) into one row block and process the whole
-            # pruning period with a few broadcast expressions.
-            if charge_storage:
-                charge = "positional" if positional else "full"
-            else:
-                charge = None
-            code_rows = store.code_row_block(active, run.oids, charge=charge)
-            self._interval_kernel.accumulate_row_block(
-                code_rows,
-                store.minimums[active],
-                store.cell_widths[active],
-                run.query[active],
-                active,
-                run.score_lower,
-                run.score_upper,
-                self._workspace,
-            )
-        self._finish_block(run, block_dimensions, active, positional=positional)
-
-    def _fold_full_columns(
-        self,
-        run: CompressedQueryRun,
-        active: np.ndarray,
+        run: QueryRun,
+        dimensions: np.ndarray,
         code_columns: list[np.ndarray],
         start: int,
         stop: int,
     ) -> None:
-        """One full-phase kernel call over the row range ``[start, stop)``.
-
-        The tile-round engine calls this once per row tile (the interval
-        kernels are elementwise per row, so tiling the rows changes nothing
-        about the accumulated floats); the single-query path calls it once
-        for the whole collection.
-        """
+        """Dequantise and fold whole code columns into the rows ``[start, stop)``
+        (the interval kernels are elementwise per row)."""
         self._interval_kernel.accumulate_block(
             [column[start:stop] for column in code_columns],
-            self._store.minimums[active],
-            self._store.cell_widths[active],
-            run.query[active],
-            active,
-            run.score_lower[start:stop],
-            run.score_upper[start:stop],
+            self._store.minimums[dimensions],
+            self._store.cell_widths[dimensions],
+            run.query[dimensions],
+            dimensions,
+            run.candidates.lower[start:stop],
+            run.candidates.upper[start:stop],
             self._workspace,
         )
 
-    def _finish_block(
-        self,
-        run: CompressedQueryRun,
-        block_dimensions: np.ndarray,
-        active: np.ndarray,
-        *,
-        positional: bool,
-    ) -> None:
-        """Post-scan bookkeeping of one pruning period: charges, counters and
-        the prune attempt.  Shared by :meth:`_advance` and the tile-round
-        engine, so both account and prune identically."""
+    def _fold_own(self, run: QueryRun, dimensions: np.ndarray, *, charge: bool) -> None:
+        """Fold one block over the run's own candidates.
+
+        The candidates' codes (1 byte each — bitwise identical to the loop's
+        slice-after-dequantise but 8x lighter per value) arrive as one row
+        block, processed with a few broadcast expressions; ``charge=False``
+        when the round already paid a full read.
+        """
         store = self._store
-        if not positional:
-            run.full_scan_dimensions += int(active.shape[0])
-        store.cost.charge_arithmetic(
-            2 * run.oids.shape[0] * int(active.shape[0]) * self._metric.arithmetic_ops_per_value()
+        candidates = run.candidates
+        code_rows = store.code_row_block(
+            dimensions, candidates.oids, charge="positional" if charge else None
         )
-        run.processed += int(block_dimensions.shape[0])
-
-        if run.processed >= run.next_attempt or run.processed == run.total_dimensions:
-            self._prune(run)
-
-    def _finalize(self, run: CompressedQueryRun) -> bool:
-        """Complete a finished run's refinement step and build its result."""
-        if run.result is not None:
-            return True
-        if not run.finished:
-            return False
-        oids, scores = self._refine(run.query, run.oids, run.order, run.k)
-        run.result = SearchResult(
-            oids=oids,
-            scores=scores,
-            dimensions_processed=run.processed,
-            full_scan_dimensions=run.full_scan_dimensions,
-            candidate_trace=run.trace,
+        self._interval_kernel.accumulate_row_block(
+            code_rows,
+            store.minimums[dimensions],
+            store.cell_widths[dimensions],
+            run.query[dimensions],
+            dimensions,
+            candidates.lower,
+            candidates.upper,
+            self._workspace,
         )
-        return True
 
-    # -- execution engines -------------------------------------------------------
+    def _prune(self, run: QueryRun) -> None:
+        """Drop the candidates the query-only interval bounds rule out."""
+        candidates = run.candidates
+        keep = self._prune_mask(
+            run.query, run.order, run.processed, candidates.lower, candidates.upper, run.k, run.weights
+        )
+        run.candidates = IntervalCandidates(
+            candidates.oids[keep], candidates.lower[keep], candidates.upper[keep]
+        )
 
-    def _run_loop(self, run: CompressedQueryRun) -> None:
+    def _finalize(self, run: QueryRun) -> tuple[np.ndarray, np.ndarray]:
+        """The refinement step: exact scores of the filter survivors from the
+        exact store, best k first."""
+        oids = run.candidates.oids
+        if oids.shape[0] == 0:
+            return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.float64)
+        exact = self._store.exact
+        vectors = exact.gather_matrix(oids)
+        scores = self._metric.score(vectors, run.query)
+        exact.cost.charge_arithmetic(vectors.size * self._metric.arithmetic_ops_per_value())
+        best = self._metric.best_first(scores)[: run.k]
+        return oids[best], scores[best]
+
+    def _run_loop(self, run: QueryRun) -> None:
         """The seed per-dimension reference engine."""
         cost = self._store.cost
-        while run.processed < run.total_dimensions and len(run.oids) > run.k:
+        while not run.finished:
             dimension = int(run.order[run.processed])
             if run.zero_dimensions is not None and run.zero_dimensions[dimension]:
                 # Query-side early-out: the contribution is provably 0.0 for
                 # every candidate — consume the dimension without touching it
                 # (same skip, same accounting as the fused engine).
-                run.processed += 1
-                if run.processed >= run.next_attempt or run.processed == run.total_dimensions:
-                    self._prune(run)
+                run.consume(1, self._prune)
                 continue
-            if self._is_positional(run):
-                value_lower, value_upper = self._store.bounded_fragment_for(dimension, run.oids)
-            else:
+            candidates = run.candidates
+            if self._shares_reads(run):
                 value_lower, value_upper = self._store.bounded_fragment(dimension)
-                value_lower, value_upper = value_lower[run.oids], value_upper[run.oids]
+                value_lower, value_upper = value_lower[candidates.oids], value_upper[candidates.oids]
                 run.full_scan_dimensions += 1
+            else:
+                value_lower, value_upper = self._store.bounded_fragment_for(dimension, candidates.oids)
             contribution_lower, contribution_upper = contribution_interval(
                 self._metric, value_lower, value_upper, run.query[dimension], dimension=dimension
             )
-            cost.charge_arithmetic(2 * len(run.oids) * self._metric.arithmetic_ops_per_value())
-            run.score_lower += contribution_lower
-            run.score_upper += contribution_upper
-            run.processed += 1
-
-            if run.processed >= run.next_attempt or run.processed == run.total_dimensions:
-                self._prune(run)
+            cost.charge_arithmetic(len(candidates) * self._ops_per_value)
+            candidates.lower += contribution_lower
+            candidates.upper += contribution_upper
+            run.consume(1, self._prune)
 
     # -- internals --------------------------------------------------------------
-
-    def _prune(self, run: CompressedQueryRun) -> None:
-        """One pruning checkpoint: drop hopeless candidates, record the trace
-        point and plan the next attempt."""
-        before = run.oids.shape[0]
-        keep = self._prune_mask(
-            run.query, run.order, run.processed, run.score_lower, run.score_upper, run.k, run.weights
-        )
-        run.oids = run.oids[keep]
-        run.score_lower = run.score_lower[keep]
-        run.score_upper = run.score_upper[keep]
-        run.trace.record(run.processed, len(run.oids))
-        run.next_attempt = run.processed + run.schedule.next_batch(
-            dimensionality=run.total_dimensions,
-            dimensions_processed=run.processed,
-            candidates_before=before,
-            candidates_after=len(run.oids),
-        )
 
     def _prune_mask(
         self,
@@ -503,20 +398,3 @@ class CompressedBondSearcher:
         optimistic = score_lower                         # best case: remaining contributes 0
         kappa = float(np.partition(guaranteed, k - 1)[k - 1])
         return optimistic <= kappa
-
-    def _refine(
-        self,
-        query: np.ndarray,
-        oids: np.ndarray,
-        order: np.ndarray,
-        k: int,
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Exact scores of the filter survivors from the exact store."""
-        if oids.shape[0] == 0:
-            return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.float64)
-        exact = self._store.exact
-        vectors = exact.gather_matrix(oids)
-        scores = self._metric.score(vectors, query)
-        exact.cost.charge_arithmetic(vectors.size * self._metric.arithmetic_ops_per_value())
-        best = self._metric.best_first(scores)[:k]
-        return oids[best], scores[best]

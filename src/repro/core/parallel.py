@@ -1,32 +1,23 @@
-"""Sharded parallel batch execution with cache-aware tile rounds.
+"""Sharded parallel search: one BOND engine per shard, merged deterministically.
 
-This is the scaling layer over the fused batch engines of
-:mod:`repro.core.batch`: the collection is cut into contiguous row shards
-(:mod:`repro.storage.sharding`), every shard runs the existing engine on a
-worker-pool thread against its **private** store and cost model, and the
-per-shard top-k lists are merged with a deterministic tie-break — so the
-merged answers are bitwise identical to the single-shard engines while the
-scan itself uses every core the pool is given.  NumPy releases the GIL inside
-the large block operations the kernels issue, so plain threads already buy
-real parallelism; ``executor="process"`` additionally moves each shard's
-whole search into a worker process over shared-memory fragments
-(:mod:`repro.cluster`), taking the Python-level scan loop off the GIL too —
-with answers and cost accounts bitwise identical to the thread pool (the
-workers run the same engines over the same bytes and the parent applies the
-same merge).
+The collection is cut into contiguous row shards
+(:mod:`repro.storage.sharding`); every shard runs the BOND round driver of
+:mod:`repro.core.rounds` on a worker-pool thread against its **private**
+store and cost model, and the per-shard top-k lists are merged with a
+deterministic tie-break — so the merged answers are bitwise identical to the
+unsharded searchers while the scan itself uses every core the pool is given.
+NumPy releases the GIL inside the large block operations the kernels issue,
+so plain threads already buy real parallelism; ``executor="process"``
+additionally moves each shard's whole search into a worker process over
+shared-memory fragments (:mod:`repro.cluster`), taking the Python-level scan
+loop off the GIL too — with answers and cost accounts bitwise identical to
+the thread pool (the workers run the same driver over the same bytes and the
+parent applies the same merge).
 
-Cache-aware tile rounds
------------------------
-Within one shard, the batch engines advance all live queries in lockstep
-rounds.  The plain engines let each query stream its whole fragment block
-before the next query runs, so a round touches the round's fragment union
-once **per query**.  The tiled engines here instead walk the shard in
-row-range tiles: every query of the round consumes a tile while it is
-cache-resident, then the round moves to the next tile.  Only the *row* axis
-is tiled — each query still folds its dimensions left to right in its own
-order, and because score accumulation is elementwise per row, tiling the rows
-changes not a single accumulated float (dimension-major tiling would reorder
-the per-row additions and is deliberately off the table).
+A single query is a batch of one here as well: :meth:`search` runs through
+:meth:`search_batch`, so every shard task — thread or process — is one
+batch.  Within a shard the driver's rounds tile the rows when several
+queries scan the whole shard (see :data:`repro.core.rounds.TILE_ROWS`).
 
 Deterministic merge
 -------------------
@@ -49,13 +40,13 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from repro.core.batch import BatchQueryEngine, CompressedBatchEngine, CompressedQueryRun, QueryRun
 from repro.core.bond import BondSearcher
 from repro.core.compressed import CompressedBondSearcher
 from repro.core.ordering import DimensionOrdering
 from repro.core.planner import PruningSchedule
 from repro.core.result import BatchSearchResult, PruningTrace, SearchResult
-from repro.engine.cost import CostModel
+from repro.core.rounds import query_matrix
+from repro.engine.cost import CostAccount, CostModel
 from repro.errors import QueryError
 from repro.metrics.base import Metric
 from repro.reliability.faults import fault_point
@@ -64,137 +55,22 @@ from repro.storage.compressed import CompressedStore
 from repro.storage.decomposed import DecomposedStore
 from repro.storage.sharding import ShardPlan, shard_compressed, shard_decomposed
 
-#: Default row-tile height of the cache-aware rounds: a pruning period of the
-#: paper's m = 8 fragments over 8192 float64 rows is 512 KiB — comfortably
-#: L2-resident while every query of a round consumes it.
-DEFAULT_TILE_ROWS = 8192
-
 #: Recognised shard-executor kinds: ``"thread"`` fans shards out on a
 #: ThreadPoolExecutor in-process; ``"process"`` runs each shard's search in a
 #: worker process over shared-memory fragments (see :mod:`repro.cluster`).
 SHARD_EXECUTORS = ("thread", "process")
 
 
-class TiledBatchQueryEngine(BatchQueryEngine):
-    """The exact batch engine with cache-aware tile rounds.
+def shard_batch(searcher, queries: np.ndarray, k: int) -> tuple[list[SearchResult], CostAccount]:
+    """One shard's task: the searcher's batch and its private cost delta.
 
-    Identical to :class:`~repro.core.batch.BatchQueryEngine` except in the
-    full-bitmap phase of a round: the queries that still stream whole
-    fragments consume the shard tile by tile (every query folds a tile's
-    columns while the tile is cache-resident) instead of each streaming the
-    whole shard on its own.  Results, pruning decisions and accounted costs
-    are bitwise identical.
+    The delta covers planning as well as the rounds; the thread pool and the
+    process workers both run exactly this, so their accounts agree.
     """
-
-    def __init__(
-        self,
-        searcher: BondSearcher,
-        queries: np.ndarray,
-        k: int,
-        *,
-        tile_rows: int = DEFAULT_TILE_ROWS,
-    ) -> None:
-        super().__init__(searcher, queries, k)
-        self._tile_rows = max(1, int(tile_rows))
-
-    def _scan_round(self, scanning: list[tuple[QueryRun, np.ndarray]]) -> None:
-        # Only queries whose candidate set still covers the whole shard can
-        # share tiles (their score rows align with the tile rows);
-        # bitmap-mode queries that already pruned fall back to the plain
-        # per-query block gather.
-        tiled = [(run, block) for run, block in scanning if run.candidates.is_full()]
-        direct = [(run, block) for run, block in scanning if not run.candidates.is_full()]
-        if tiled:
-            self._tiled_scan(tiled)
-        for run, block_dimensions in direct:
-            self._advance(run, block_dimensions, charge_storage=False)
-
-    def _tiled_scan(self, runs: list[tuple[QueryRun, np.ndarray]]) -> None:
-        """Advance every full-bitmap query of the round, one row tile at a time."""
-        searcher = self._searcher
-        store = self._store
-        rows = store.cardinality
-        kernel = searcher.kernel
-        ops_per_value = searcher._metric.arithmetic_ops_per_value()
-        prepared = []
-        for run, block in runs:
-            columns = store.fragment_columns(block, charge=False)
-            store.cost.charge_arithmetic(rows * int(block.shape[0]) * ops_per_value)
-            prepared.append((run, block, columns, run.query[block]))
-        if searcher._scan_workspace.shape[0] < rows:
-            searcher._scan_workspace = np.empty(rows, dtype=np.float64)
-        tile = self._tile_rows
-        for start in range(0, rows, tile):
-            stop = min(start + tile, rows)
-            workspace = searcher._scan_workspace[: stop - start]
-            rows_slice = slice(start, stop)
-            for run, block, columns, query_values in prepared:
-                tile_columns = [column[start:stop] for column in columns]
-                kernel.accumulate_scan(
-                    tile_columns,
-                    query_values,
-                    block,
-                    run.candidates.partial_scores[start:stop],
-                    workspace,
-                )
-                run.candidates.accumulate_value_columns(tile_columns, rows=rows_slice)
-        for run, block, _columns, _query_values in prepared:
-            self._after_block(run, block)
-
-
-class TiledCompressedBatchEngine(CompressedBatchEngine):
-    """The compressed batch engine with cache-aware tile rounds.
-
-    Same protocol as :class:`TiledBatchQueryEngine`, applied to the
-    filter-and-refine engine: full-collection queries of a round dequantise
-    and accumulate each 1-byte code tile while it is cache-resident.  The
-    query-side early-out applies exactly as in the plain engines (skipped
-    dimensions are neither read nor charged).
-    """
-
-    def __init__(
-        self,
-        searcher: CompressedBondSearcher,
-        queries: np.ndarray,
-        k: int,
-        *,
-        tile_rows: int = DEFAULT_TILE_ROWS,
-    ) -> None:
-        super().__init__(searcher, queries, k)
-        self._tile_rows = max(1, int(tile_rows))
-
-    def _scan_round(self, scanning: list[tuple[CompressedQueryRun, np.ndarray]]) -> None:
-        cardinality = self._store.cardinality
-        tiled = [
-            (run, block) for run, block in scanning if run.oids.shape[0] == cardinality
-        ]
-        direct = [
-            (run, block) for run, block in scanning if run.oids.shape[0] != cardinality
-        ]
-        if tiled:
-            self._tiled_scan(tiled)
-        for run, block_dimensions in direct:
-            self._searcher._advance(run, block_dimensions, charge_storage=False)
-
-    def _tiled_scan(self, runs: list[tuple[CompressedQueryRun, np.ndarray]]) -> None:
-        """Advance every full-collection query of the round, tile by tile."""
-        searcher = self._searcher
-        store = self._store
-        rows = store.cardinality
-        prepared = []
-        finishing = []
-        for run, block in runs:
-            active = searcher._active_block(run, block)
-            finishing.append((run, block, active))
-            if active.size:
-                prepared.append((run, active, store.code_columns(active, charge=False)))
-        tile = self._tile_rows
-        for start in range(0, rows, tile):
-            stop = min(start + tile, rows)
-            for run, active, code_columns in prepared:
-                searcher._fold_full_columns(run, active, code_columns, start, stop)
-        for run, block, active in finishing:
-            searcher._finish_block(run, block, active, positional=False)
+    cost = searcher.store.cost
+    checkpoint = cost.checkpoint()
+    results = searcher.search_batch(queries, k).results
+    return results, cost.since(checkpoint)
 
 
 def merge_shard_results(
@@ -272,16 +148,63 @@ def merge_traces(traces: Sequence[PruningTrace]) -> PruningTrace:
     return merged
 
 
+class EngineSpec:
+    """The picklable recipe of one shard's searcher.
+
+    The thread pool builds its per-shard searchers from it and the process
+    workers (:mod:`repro.cluster`) rebuild theirs from a pickled copy, so both
+    run identically configured searchers.  Bound and schedule are copied per
+    shard so no two shards share mutable scratch.
+    """
+
+    def __init__(
+        self,
+        *,
+        kind: str,
+        metric,
+        bound=None,
+        ordering=None,
+        schedule=None,
+        candidate_mode: str = "auto",
+        switch_selectivity: float = 0.05,
+    ) -> None:
+        if kind not in ("exact", "compressed"):
+            raise QueryError(f"engine kind must be 'exact' or 'compressed', got {kind!r}")
+        self.kind = kind
+        self.metric = metric
+        self.bound = bound
+        self.ordering = ordering
+        self.schedule = schedule
+        self.candidate_mode = candidate_mode
+        self.switch_selectivity = switch_selectivity
+
+    def build_searcher(self, store):
+        """One shard's searcher over its shard store."""
+        schedule = copy.copy(self.schedule) if self.schedule is not None else None
+        if self.kind == "compressed":
+            return CompressedBondSearcher(
+                store, metric=self.metric, ordering=self.ordering, schedule=schedule
+            )
+        return BondSearcher(
+            store,
+            metric=self.metric,
+            bound=copy.copy(self.bound) if self.bound is not None else None,
+            ordering=self.ordering,
+            schedule=schedule,
+            candidate_mode=self.candidate_mode,
+            switch_selectivity=self.switch_selectivity,
+        )
+
+
 class _ShardedEngineBase:
     """Shard bookkeeping, worker-pool plumbing and the full search/merge
     protocol shared by the sharded searchers.
 
-    Subclasses populate ``_store`` (the parent store whose cost model is the
-    merge target), ``_metric``, ``_shard_stores`` / ``_searchers`` (aligned
-    with the plan) and ``_tile_rows``, and implement :meth:`_batch_engine`;
-    everything else — per-shard checkpointing, the pool dispatch, cost-delta
-    merging and the deterministic top-k merge — lives here exactly once, so
-    the exact and compressed engines cannot drift apart.
+    Subclasses only translate their constructor arguments into an
+    :class:`EngineSpec`; everything else — shard stores and searchers,
+    per-shard checkpointing, the pool dispatch, cost-delta merging and the
+    deterministic top-k merge — lives here exactly once, so the exact and
+    compressed engines cannot drift apart.
     """
 
     #: Recognised shard-failure policies (see ``on_shard_failure``).
@@ -289,12 +212,17 @@ class _ShardedEngineBase:
 
     def __init__(
         self,
-        plan: ShardPlan,
+        store,
+        spec: EngineSpec,
+        shards: int | ShardPlan,
         workers: int | None,
         on_shard_failure: str = "fail",
         executor: str = "thread",
         process_context: str | None = None,
     ) -> None:
+        plan = shards if isinstance(shards, ShardPlan) else ShardPlan.balanced(
+            store.cardinality, int(shards)
+        )
         if on_shard_failure not in self.SHARD_FAILURE_MODES:
             raise QueryError(
                 f"on_shard_failure must be one of {self.SHARD_FAILURE_MODES}, "
@@ -311,6 +239,26 @@ class _ShardedEngineBase:
         self._process_context = process_context
         self._executor: ThreadPoolExecutor | None = None
         self._process_pool = None  # ProcessShardExecutor, built on first use
+        self._store = store
+        self._spec = spec
+        slicer = shard_compressed if spec.kind == "compressed" else shard_decomposed
+        self._shard_stores = slicer(store, plan)
+        self._searchers = [spec.build_searcher(shard_store) for shard_store in self._shard_stores]
+
+    @property
+    def store(self):
+        """The parent store (cost-account owner)."""
+        return self._store
+
+    @property
+    def metric(self) -> Metric:
+        """The similarity / distance metric in use."""
+        return self._spec.metric
+
+    @property
+    def shard_searchers(self) -> list:
+        """The per-shard searchers (introspection / tests)."""
+        return self._searchers
 
     @property
     def shard_plan(self) -> ShardPlan:
@@ -352,22 +300,22 @@ class _ShardedEngineBase:
             self._process_pool.close()
             self._process_pool = None
 
-    def _cluster_payload(self):
-        """(SharedStoreSegment, EngineSpec) for process mode (subclass hook)."""
-        raise NotImplementedError
-
     def _ensure_process_pool(self):
         """Build (or rebuild, after close) the process pool — on the calling
         thread, *before* any dispatcher threads start, so fork-based workers
         never fork a multithreaded parent mid-flight."""
         if self._process_pool is None:
             from repro.cluster.executor import ProcessShardExecutor
+            from repro.cluster.shm import SharedStoreSegment
 
-            segment, spec = self._cluster_payload()
+            if self._spec.kind == "compressed":
+                segment = SharedStoreSegment(self._store.exact, compressed=self._store)
+            else:
+                segment = SharedStoreSegment(self._store)
             try:
                 self._process_pool = ProcessShardExecutor(
                     segment,
-                    spec,
+                    self._spec,
                     self._plan,
                     self._workers,
                     context=self._process_context,
@@ -393,11 +341,6 @@ class _ShardedEngineBase:
                 thread_name_prefix="repro-shard",
             )
         return list(self._executor.map(task, range(self._plan.num_shards)))
-
-    def _merge_shard_costs(self, parent: CostModel, deltas: Sequence) -> None:
-        """Fold every shard's private delta into the parent model, once each."""
-        for delta in deltas:
-            parent.merge_account(delta)
 
     def _run_shards_guarded(self, body: Callable[[int], object]) -> tuple[list, list]:
         """Run ``body`` per shard, splitting outcomes by the failure policy.
@@ -428,84 +371,48 @@ class _ShardedEngineBase:
             raise failures[0][1]
         return successes, failures
 
-    def _batch_engine(self, shard: int, queries: np.ndarray, k: int):
-        """Build one shard's tiled batch engine (subclass hook)."""
-        raise NotImplementedError
-
     def search(self, query: np.ndarray, k: int, *, trace: PruningTrace | None = None) -> SearchResult:
-        """Exact k nearest neighbours, searched shard-parallel and merged.
-
-        Bitwise identical to the corresponding unsharded searcher's
-        ``search`` (see :func:`merge_shard_results`)."""
-        started = time.perf_counter()
-        parent_cost = self._store.cost
-        checkpoint = parent_cost.checkpoint()
-        pool = self._ensure_process_pool() if self._executor_kind == "process" else None
-
-        def run_shard(shard: int):
-            if pool is not None:
-                return pool.search(shard, query, k)
-            shard_cost = self._shard_stores[shard].cost
-            shard_checkpoint = shard_cost.checkpoint()
-            result = self._searchers[shard].search(query, k)
-            return result, shard_cost.since(shard_checkpoint)
-
-        successes, failures = self._run_shards_guarded(run_shard)
-        self._merge_shard_costs(parent_cost, [delta for _, (_, delta) in successes])
-        merged = merge_shard_results(
-            self._metric,
-            [result for _, (result, _) in successes],
-            self._plan,
-            k,
-            cost=parent_cost,
-            shard_indices=[shard for shard, _ in successes],
-        )
-        if failures:
-            merged.degraded = True
-            merged.failed_shards = tuple(shard for shard, _ in failures)
+        """Exact k nearest neighbours, searched shard-parallel and merged: the
+        batch of one.  Bitwise identical to the corresponding unsharded
+        searcher's ``search`` (see :func:`merge_shard_results`)."""
+        result = self.search_batch(np.asarray(query, dtype=np.float64)[np.newaxis], k).single()
         if trace is not None:
-            trace.dimensions_processed.extend(merged.candidate_trace.dimensions_processed)
-            trace.candidates_remaining.extend(merged.candidate_trace.candidates_remaining)
-            merged.candidate_trace = trace
-        merged.cost = parent_cost.since(checkpoint)
-        merged.elapsed_seconds = time.perf_counter() - started
-        return merged
+            trace.dimensions_processed.extend(result.candidate_trace.dimensions_processed)
+            trace.candidates_remaining.extend(result.candidate_trace.candidates_remaining)
+            result.candidate_trace = trace
+        return result
 
     def search_batch(self, queries: np.ndarray, k: int) -> BatchSearchResult:
-        """Answer a whole batch shard-parallel: every shard runs its tiled
-        batch engine over all queries, then each query's shard top-k lists
-        are merged.  Bitwise identical to the unsharded ``search_batch``."""
+        """Answer a whole batch shard-parallel: every shard runs its searcher's
+        batch over all queries, then each query's shard top-k lists are
+        merged.  Bitwise identical to the unsharded ``search_batch``."""
         started = time.perf_counter()
-        query_matrix = np.atleast_2d(np.asarray(queries, dtype=np.float64))
-        if query_matrix.ndim != 2:
-            raise QueryError(f"queries must form a 2-D matrix, got shape {query_matrix.shape}")
+        matrix = query_matrix(queries)
         parent_cost = self._store.cost
         checkpoint = parent_cost.checkpoint()
         pool = self._ensure_process_pool() if self._executor_kind == "process" else None
 
         def run_shard(shard: int):
             if pool is not None:
-                return pool.search_batch(shard, query_matrix, k)
-            shard_cost = self._shard_stores[shard].cost
-            shard_checkpoint = shard_cost.checkpoint()
-            results = self._batch_engine(shard, query_matrix, k).run()
-            return results, shard_cost.since(shard_checkpoint)
+                return pool.search_batch(shard, matrix, k)
+            return shard_batch(self._searchers[shard], matrix, k)
 
         successes, failures = self._run_shards_guarded(run_shard)
-        self._merge_shard_costs(parent_cost, [delta for _, (_, delta) in successes])
+        for _, (_, delta) in successes:
+            parent_cost.merge_account(delta)
         surviving = [shard for shard, _ in successes]
         per_shard = [results for _, (results, _) in successes]
         failed = tuple(shard for shard, _ in failures)
         merged = [
             merge_shard_results(
-                self._metric,
+                self._spec.metric,
                 [shard_results[query_index] for shard_results in per_shard],
                 self._plan,
                 k,
                 cost=parent_cost,
                 shard_indices=surviving,
             )
-            for query_index in range(query_matrix.shape[0])
+            for query_index in range(matrix.shape[0])
         ]
         if failed:
             for result in merged:
@@ -523,10 +430,9 @@ class ShardedBondSearcher(_ShardedEngineBase):
 
     Each shard holds a private :class:`~repro.storage.decomposed.DecomposedStore`
     slice (own fragments, own cost model) searched by its own
-    :class:`~repro.core.bond.BondSearcher` through the tile-round batch
-    engine; per-query results are merged with the deterministic tie-break of
-    :func:`merge_shard_results`, so answers are bitwise identical to the
-    unsharded fused engine.
+    :class:`~repro.core.bond.BondSearcher`; per-query results are merged with
+    the deterministic tie-break of :func:`merge_shard_results`, so answers are
+    bitwise identical to the unsharded searcher.
 
     Parameters
     ----------
@@ -538,10 +444,7 @@ class ShardedBondSearcher(_ShardedEngineBase):
         Shard count or a ready :class:`~repro.storage.sharding.ShardPlan`.
     workers:
         Worker-thread budget (default: one per shard).  ``workers=1`` runs
-        the shards sequentially on the calling thread — still useful, because
-        the tile rounds alone improve cache behaviour.
-    tile_rows:
-        Row-tile height of the cache-aware rounds.
+        the shards sequentially on the calling thread.
     on_shard_failure:
         ``"fail"`` (default) re-raises the first failed shard's error;
         ``"partial"`` degrades gracefully — the surviving shards' top-k is
@@ -557,8 +460,7 @@ class ShardedBondSearcher(_ShardedEngineBase):
         ``"spawn"`` / ``"forkserver"``; default: the platform's).
     metric / bound / ordering / schedule / candidate_mode / switch_selectivity:
         Forwarded to every per-shard :class:`~repro.core.bond.BondSearcher`
-        (bounds and schedules are copied per shard so worker threads never
-        share mutable scratch).
+        (see :class:`EngineSpec`).
     """
 
     def __init__(
@@ -573,68 +475,21 @@ class ShardedBondSearcher(_ShardedEngineBase):
         switch_selectivity: float = 0.05,
         shards: int | ShardPlan = 2,
         workers: int | None = None,
-        tile_rows: int = DEFAULT_TILE_ROWS,
         on_shard_failure: str = "fail",
         executor: str = "thread",
         process_context: str | None = None,
     ) -> None:
-        plan = shards if isinstance(shards, ShardPlan) else ShardPlan.balanced(
-            store.cardinality, int(shards)
-        )
-        super().__init__(plan, workers, on_shard_failure, executor, process_context)
-        self._store = store
-        self._metric = metric if metric is not None else HistogramIntersection()
-        self._tile_rows = max(1, int(tile_rows))
-        self._spec_args = dict(
+        spec = EngineSpec(
+            kind="exact",
+            metric=metric if metric is not None else HistogramIntersection(),
             bound=bound,
             ordering=ordering,
             schedule=schedule,
             candidate_mode=candidate_mode,
             switch_selectivity=switch_selectivity,
         )
-        self._shard_stores = shard_decomposed(store, plan)
-        self._searchers = [
-            BondSearcher(
-                shard_store,
-                metric=self._metric,
-                bound=copy.copy(bound) if bound is not None else None,
-                ordering=ordering,
-                schedule=copy.copy(schedule) if schedule is not None else None,
-                candidate_mode=candidate_mode,
-                switch_selectivity=switch_selectivity,
-            )
-            for shard_store in self._shard_stores
-        ]
-
-    @property
-    def store(self) -> DecomposedStore:
-        """The parent store (cost-account owner)."""
-        return self._store
-
-    @property
-    def metric(self) -> Metric:
-        """The similarity / distance metric in use."""
-        return self._metric
-
-    @property
-    def shard_searchers(self) -> list[BondSearcher]:
-        """The per-shard searchers (introspection / tests)."""
-        return self._searchers
-
-    def _batch_engine(self, shard: int, queries: np.ndarray, k: int) -> TiledBatchQueryEngine:
-        return TiledBatchQueryEngine(
-            self._searchers[shard], queries, k, tile_rows=self._tile_rows
-        )
-
-    def _cluster_payload(self):
-        from repro.cluster.executor import EngineSpec
-        from repro.cluster.shm import SharedStoreSegment
-
-        return SharedStoreSegment(self._store), EngineSpec(
-            kind="exact",
-            metric=self._metric,
-            tile_rows=self._tile_rows,
-            **self._spec_args,
+        super().__init__(
+            store, spec, shards, workers, on_shard_failure, executor, process_context
         )
 
 
@@ -644,9 +499,9 @@ class ShardedCompressedBondSearcher(_ShardedEngineBase):
     The compressed analogue of :class:`ShardedBondSearcher`: every shard is a
     :meth:`~repro.storage.compressed.CompressedStore.row_slice` view keeping
     the parent's global quantisation grid, filtered and refined by its own
-    :class:`~repro.core.compressed.CompressedBondSearcher` through the tiled
-    compressed batch engine, merged with the same deterministic tie-break —
-    bitwise identical to the unsharded fused filter-and-refine engine.
+    :class:`~repro.core.compressed.CompressedBondSearcher`, merged with the
+    same deterministic tie-break — bitwise identical to the unsharded
+    filter-and-refine searcher.
     """
 
     def __init__(
@@ -658,64 +513,18 @@ class ShardedCompressedBondSearcher(_ShardedEngineBase):
         schedule: PruningSchedule | None = None,
         shards: int | ShardPlan = 2,
         workers: int | None = None,
-        tile_rows: int = DEFAULT_TILE_ROWS,
         on_shard_failure: str = "fail",
         executor: str = "thread",
         process_context: str | None = None,
     ) -> None:
-        plan = shards if isinstance(shards, ShardPlan) else ShardPlan.balanced(
-            store.cardinality, int(shards)
+        spec = EngineSpec(
+            kind="compressed",
+            metric=metric if metric is not None else HistogramIntersection(),
+            ordering=ordering,
+            schedule=schedule,
         )
-        super().__init__(plan, workers, on_shard_failure, executor, process_context)
-        self._store = store
-        self._metric = metric if metric is not None else HistogramIntersection()
-        self._tile_rows = max(1, int(tile_rows))
-        self._spec_args = dict(ordering=ordering, schedule=schedule)
-        self._shard_stores = shard_compressed(store, plan)
-        self._searchers = [
-            CompressedBondSearcher(
-                shard_store,
-                metric=self._metric,
-                ordering=ordering,
-                schedule=copy.copy(schedule) if schedule is not None else None,
-            )
-            for shard_store in self._shard_stores
-        ]
-
-    @property
-    def store(self) -> CompressedStore:
-        """The parent compressed store (cost-account owner)."""
-        return self._store
-
-    @property
-    def metric(self) -> Metric:
-        """The similarity / distance metric in use."""
-        return self._metric
-
-    @property
-    def shard_searchers(self) -> list[CompressedBondSearcher]:
-        """The per-shard searchers (introspection / tests)."""
-        return self._searchers
-
-    def _batch_engine(
-        self, shard: int, queries: np.ndarray, k: int
-    ) -> TiledCompressedBatchEngine:
-        return TiledCompressedBatchEngine(
-            self._searchers[shard], queries, k, tile_rows=self._tile_rows
-        )
-
-    def _cluster_payload(self):
-        from repro.cluster.executor import EngineSpec
-        from repro.cluster.shm import SharedStoreSegment
-
-        return (
-            SharedStoreSegment(self._store.exact, compressed=self._store),
-            EngineSpec(
-                kind="compressed",
-                metric=self._metric,
-                tile_rows=self._tile_rows,
-                **self._spec_args,
-            ),
+        super().__init__(
+            store, spec, shards, workers, on_shard_failure, executor, process_context
         )
 
 
@@ -737,7 +546,6 @@ class ShardedSearcher:
         metric: Metric,
         *,
         workers: int | None = None,
-        tile_rows: int = DEFAULT_TILE_ROWS,
         on_shard_failure: str = "fail",
         executor: str = "thread",
         process_context: str | None = None,
@@ -745,7 +553,6 @@ class ShardedSearcher:
         self._index = index
         self._metric = metric
         self._workers = workers
-        self._tile_rows = tile_rows
         self._on_shard_failure = on_shard_failure
         self._executor_kind = executor
         self._process_context = process_context
@@ -761,7 +568,6 @@ class ShardedSearcher:
                 metric=self._metric,
                 shards=self._index.shard_plan,
                 workers=self._workers,
-                tile_rows=self._tile_rows,
                 on_shard_failure=self._on_shard_failure,
                 executor=self._executor_kind,
                 process_context=self._process_context,
@@ -777,7 +583,6 @@ class ShardedSearcher:
                 metric=self._metric,
                 shards=self._index.shard_plan,
                 workers=self._workers,
-                tile_rows=self._tile_rows,
                 on_shard_failure=self._on_shard_failure,
                 executor=self._executor_kind,
                 process_context=self._process_context,

@@ -161,3 +161,10 @@ class BatchSearchResult:
     def degraded(self) -> bool:
         """Whether any per-query result is flagged degraded."""
         return any(result.degraded for result in self.results)
+
+    def single(self) -> SearchResult:
+        """The result of a batch of one, carrying the batch's cost and time."""
+        (result,) = self.results
+        result.cost = self.cost
+        result.elapsed_seconds = self.elapsed_seconds
+        return result

@@ -20,7 +20,6 @@ import time
 
 import numpy as np
 
-from repro._compat import apply_legacy_positionals
 from repro.core.result import BatchSearchResult, PruningTrace, SearchResult
 from repro.errors import QueryError
 from repro.metrics.base import Metric, MetricKind
@@ -34,13 +33,10 @@ class SequentialScan:
     def __init__(
         self,
         store: RowStore,
-        *legacy,
+        *,
         metric: Metric | None = None,
         batch_size: int = 4096,
     ) -> None:
-        (metric,) = apply_legacy_positionals(
-            "SequentialScan(store, *, metric=...)", legacy, ("metric",), (metric,)
-        )
         self._store = store
         self._metric = metric if metric is not None else HistogramIntersection()
         self._batch_size = batch_size
@@ -163,13 +159,10 @@ class PartialAbandonScan:
     def __init__(
         self,
         store: RowStore,
-        *legacy,
+        *,
         metric: Metric | None = None,
         check_period: int = 16,
     ) -> None:
-        (metric,) = apply_legacy_positionals(
-            "PartialAbandonScan(store, *, metric=...)", legacy, ("metric",), (metric,)
-        )
         if check_period < 1:
             raise QueryError("check_period must be at least 1")
         self._store = store

@@ -1,7 +1,7 @@
 """``repro.serving``: the asyncio query-serving subsystem.
 
 Turns a stream of independently arriving single queries into the micro-batches
-the batch engines are fast at, under an explicit latency budget, with bounded
+batched search is fast at, under an explicit latency budget, with bounded
 admission control, per-batch cost attribution, and explicit failure handling
 (per-request deadlines, transient-error retry under a budget, backend
 failover behind circuit breakers — see :mod:`repro.reliability`).  See

@@ -14,7 +14,7 @@ Two policies ship:
   the neutral baseline.
 * :class:`OverlapAdmission` — the ROADMAP's *adaptive batch admission*:
   requests are grouped by predicted **dimension-order overlap**.  BOND's
-  batch engines stream one fragment round at a time and share each fragment
+  round driver streams one fragment round at a time and shares each fragment
   read across every query of the round that wants it; queries whose
   decreasing-``q_i`` orderings (Section 5.1) begin with the same dimensions
   therefore share almost all of their early — and most expensive, because

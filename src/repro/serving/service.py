@@ -1,7 +1,7 @@
 """The asyncio query-serving front end.
 
 :class:`SearchService` turns a stream of independent single-query submissions
-into the micro-batches the batch engines are fast at.  Callers ``await
+into the micro-batches batched search is fast at.  Callers ``await
 service.submit(vector, k=...)`` and get their own
 :class:`~repro.core.result.SearchResult` back; between submission and
 execution the service coalesces compatible requests (same ``k``, metric,
@@ -805,7 +805,7 @@ class SearchService:
         All riders share a batch key, so ``k`` / metric / mode / backend pin
         / approx knobs are interchangeable; batches of one still take the
         batch path so the
-        execution shape is uniform (the batch engines are bitwise identical
+        execution shape is uniform (batched searches are bitwise identical
         to their single-query paths, which the serving test suite re-pins
         end to end).
         """

@@ -360,7 +360,7 @@ class CompressedStore:
         period of m compressed fragments comes back as m contiguous code
         arrays in a single call, charged as one fused block scan of 1-byte
         coefficients (identical totals to m per-dimension
-        :meth:`fragment` reads).  ``charge=False`` lets a batch engine charge
+        :meth:`fragment` reads).  ``charge=False`` lets the round driver charge
         a shared read across queries itself.
         """
         dims = np.asarray(dimensions, dtype=np.int64)
@@ -388,7 +388,7 @@ class CompressedStore:
         charges m positional fetches per candidate (the post-switch-over
         access pattern), ``"full"`` charges m full sequential fragment scans
         (the physical reality while the filter still streams whole columns),
-        and ``None`` charges nothing (a batch engine already paid).
+        and ``None`` charges nothing (the round driver already paid).
         """
         dims = np.asarray(dimensions, dtype=np.int64)
         if dims.size and (int(dims.min()) < 0 or int(dims.max()) >= self.dimensionality):

@@ -437,7 +437,7 @@ class DecomposedStore:
         how narrow formats actually halve or quarter the streamed bytes (the
         kernels accumulate into float64, an exact widening).  Charged as one
         fused block scan at the format's coefficient width (``charge=False``
-        lets a batch engine charge a shared read itself).
+        lets the round driver charge a shared read itself).
         """
         dims = np.asarray(dimensions, dtype=np.int64)
         if dims.size and (int(dims.min()) < 0 or int(dims.max()) >= self.dimensionality):

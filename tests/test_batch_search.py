@@ -1,7 +1,7 @@
 """Exact-equivalence tests for the fused engine and the batched query APIs.
 
-The contract of this PR's performance work: the fused block-scan engine and
-``search_batch`` may change *how* storage is touched, but every returned
+The contract of the fused round driver: single queries, batches and tiled
+rounds may change *how* storage is touched, but every returned
 (OIDs, scores) pair must be **bitwise identical** to the seed per-dimension
 path (``engine="loop"``) — for all three metrics and both candidate
 representations.  ``np.array_equal`` (not ``allclose``) everywhere.
@@ -14,6 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core import rounds
 from repro.core.bond import BondSearcher
 from repro.core.planner import FixedPeriodSchedule, GeometricSchedule
 from repro.core.result import BatchSearchResult
@@ -58,28 +59,38 @@ def _assert_identical(result, reference):
     seed=st.integers(0, 10_000),
     k=st.integers(1, 12),
     period=st.integers(1, 10),
+    tile_rows=st.integers(1, 64),
 )
 @pytest.mark.parametrize("metric_name", ["histogram", "euclidean", "weighted"])
 @pytest.mark.parametrize("candidate_mode", ["auto", "bitmap", "positional"])
 def test_fused_and_batched_match_loop_exactly(
-    metric_name, candidate_mode, rows, columns, seed, k, period
+    metric_name, candidate_mode, rows, columns, seed, k, period, tile_rows
 ):
+    """Single queries, batches of one and tiled batches all match the loop.
+
+    A tiny tile height makes every round in which several queries scan the
+    whole collection run tiled, next to runs that gather their own rows.
+    """
     data, rng = _collection(rows, columns, seed, normalized=metric_name == "histogram")
     metric, _ = _metric_for(metric_name, columns, rng)
     queries = data[rng.choice(rows, size=4, replace=False)]
     store = DecomposedStore(data)
     schedule = FixedPeriodSchedule(period)
     loop = BondSearcher(
-        store, metric, schedule=schedule, candidate_mode=candidate_mode, engine="loop"
+        store, metric=metric, schedule=schedule, candidate_mode=candidate_mode, engine="loop"
     )
     fused = BondSearcher(
-        store, metric, schedule=schedule, candidate_mode=candidate_mode, engine="fused"
+        store, metric=metric, schedule=schedule, candidate_mode=candidate_mode, engine="fused"
     )
 
     references = [loop.search(query, k) for query in queries]
-    for query, reference in zip(queries, references):
-        _assert_identical(fused.search(query, k), reference)
-    batch = fused.search_batch(queries, k)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(rounds, "TILE_ROWS", tile_rows)
+        for query, reference in zip(queries, references):
+            single = fused.search(query, k)
+            _assert_identical(single, reference)
+            assert single.cost == fused.search_batch(query[None], k).cost
+        batch = fused.search_batch(queries, k)
     assert isinstance(batch, BatchSearchResult)
     assert len(batch) == len(queries)
     for result, reference in zip(batch, references):
@@ -206,7 +217,7 @@ def test_weighted_bound_ulp_regression():
     weights = rng.uniform(0.1, 5.0, size=9)
     metric = WeightedSquaredEuclidean(weights)
     store = DecomposedStore(data)
-    searcher = BondSearcher(store, metric)
+    searcher = BondSearcher(store, metric=metric)
     result = searcher.search(data[1], 1)
     assert result.k == 1
     assert result.oids[0] == 1

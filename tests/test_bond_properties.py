@@ -42,7 +42,7 @@ def test_bond_equals_brute_force_histogram(bound_class, rows, columns, seed, k, 
     query = data[seed % rows]
     store = DecomposedStore(data)
     searcher = BondSearcher(
-        store, HistogramIntersection(), bound_class(), schedule=FixedPeriodSchedule(period)
+        store, metric=HistogramIntersection(), bound=bound_class(), schedule=FixedPeriodSchedule(period)
     )
     result = searcher.search(query, k)
     reference = exact_top_k(data, query, k, HistogramIntersection())
@@ -64,7 +64,7 @@ def test_bond_equals_brute_force_euclidean(bound_factory, rows, columns, seed, k
     query = data[seed % rows]
     store = DecomposedStore(data)
     searcher = BondSearcher(
-        store, SquaredEuclidean(), bound_factory(), schedule=FixedPeriodSchedule(period)
+        store, metric=SquaredEuclidean(), bound=bound_factory(), schedule=FixedPeriodSchedule(period)
     )
     result = searcher.search(query, k)
     reference = exact_top_k(data, query, k, SquaredEuclidean())
@@ -90,7 +90,7 @@ def test_weighted_bond_equals_brute_force(rows, columns, seed, k, zero_fraction)
     metric = WeightedSquaredEuclidean(weights)
     query = data[seed % rows]
     store = DecomposedStore(data)
-    searcher = BondSearcher(store, metric, WeightedEuclideanBound())
+    searcher = BondSearcher(store, metric=metric, bound=WeightedEuclideanBound())
     result = searcher.search(query, k)
     reference = exact_top_k(data, query, k, metric)
     assert result_scores_match(result, reference)
@@ -114,7 +114,7 @@ def test_compressed_bond_equals_brute_force(rows, columns, seed, k, bits):
     data = data / data.sum(axis=1, keepdims=True)
     query = data[seed % rows]
     compressed = CompressedStore(DecomposedStore(data), bits=bits)
-    searcher = CompressedBondSearcher(compressed, HistogramIntersection())
+    searcher = CompressedBondSearcher(compressed, metric=HistogramIntersection())
     result = searcher.search(query, k)
     reference = exact_top_k(data, query, k, HistogramIntersection())
     assert result_scores_match(result, reference)
@@ -136,7 +136,7 @@ def test_vafile_equals_brute_force(rows, columns, seed, k):
     data = rng.random((rows, columns))
     query = data[seed % rows]
     compressed = CompressedStore(DecomposedStore(data), bits=8)
-    searcher = VAFile(compressed, SquaredEuclidean())
+    searcher = VAFile(compressed, metric=SquaredEuclidean())
     result = searcher.search(query, k)
     reference = exact_top_k(data, query, k, SquaredEuclidean())
     assert result_scores_match(result, reference)

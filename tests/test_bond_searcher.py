@@ -62,8 +62,8 @@ class TestCorrectness:
     @pytest.mark.parametrize("bound_class", [HqBound, HhBound])
     def test_matches_sequential_scan_histogram(self, corel_histograms, bound_class):
         store = DecomposedStore(corel_histograms)
-        searcher = BondSearcher(store, HistogramIntersection(), bound_class())
-        scan = SequentialScan(RowStore(corel_histograms), HistogramIntersection())
+        searcher = BondSearcher(store, metric=HistogramIntersection(), bound=bound_class())
+        scan = SequentialScan(RowStore(corel_histograms), metric=HistogramIntersection())
         for query_index in (0, 17, 333):
             bond_result = searcher.search(corel_histograms[query_index], 10)
             scan_result = scan.search(corel_histograms[query_index], 10)
@@ -72,8 +72,8 @@ class TestCorrectness:
     @pytest.mark.parametrize("bound_factory", [EqBound, EvBound])
     def test_matches_sequential_scan_euclidean(self, clustered_vectors, bound_factory):
         store = DecomposedStore(clustered_vectors)
-        searcher = BondSearcher(store, SquaredEuclidean(), bound_factory())
-        scan = SequentialScan(RowStore(clustered_vectors), SquaredEuclidean())
+        searcher = BondSearcher(store, metric=SquaredEuclidean(), bound=bound_factory())
+        scan = SequentialScan(RowStore(clustered_vectors), metric=SquaredEuclidean())
         for query_index in (3, 42, 999):
             bond_result = searcher.search(clustered_vectors[query_index], 10)
             scan_result = scan.search(clustered_vectors[query_index], 10)
@@ -97,13 +97,13 @@ class TestCorrectness:
         store = DecomposedStore(corel_histograms)
         reference = exact_top_k(corel_histograms, corel_histograms[9], 10, HistogramIntersection())
         for ordering in (RandomOrdering(seed=1), IncreasingQueryOrdering()):
-            searcher = BondSearcher(store, HistogramIntersection(), HqBound(), ordering=ordering)
+            searcher = BondSearcher(store, metric=HistogramIntersection(), bound=HqBound(), ordering=ordering)
             assert result_scores_match(searcher.search(corel_histograms[9], 10), reference)
 
     def test_correct_for_adaptive_schedule(self, corel_histograms):
         store = DecomposedStore(corel_histograms)
         searcher = BondSearcher(
-            store, HistogramIntersection(), HqBound(), schedule=GeometricSchedule(initial_period=4)
+            store, metric=HistogramIntersection(), bound=HqBound(), schedule=GeometricSchedule(initial_period=4)
         )
         reference = exact_top_k(corel_histograms, corel_histograms[2], 10, HistogramIntersection())
         assert result_scores_match(searcher.search(corel_histograms[2], 10), reference)
@@ -112,7 +112,7 @@ class TestCorrectness:
     def test_correct_for_every_candidate_mode(self, corel_histograms, candidate_mode):
         store = DecomposedStore(corel_histograms)
         searcher = BondSearcher(
-            store, HistogramIntersection(), HqBound(), candidate_mode=candidate_mode
+            store, metric=HistogramIntersection(), bound=HqBound(), candidate_mode=candidate_mode
         )
         reference = exact_top_k(corel_histograms, corel_histograms[77], 10, HistogramIntersection())
         assert result_scores_match(searcher.search(corel_histograms[77], 10), reference)
@@ -120,14 +120,14 @@ class TestCorrectness:
     @pytest.mark.parametrize("k", [1, 3, 25, 100])
     def test_correct_for_various_k(self, corel_histograms, k):
         store = DecomposedStore(corel_histograms)
-        searcher = BondSearcher(store, HistogramIntersection(), HqBound())
+        searcher = BondSearcher(store, metric=HistogramIntersection(), bound=HqBound())
         reference = exact_top_k(corel_histograms, corel_histograms[31], k, HistogramIntersection())
         assert result_scores_match(searcher.search(corel_histograms[31], k), reference)
 
     def test_correct_on_uniform_data(self, uniform_vectors):
         """Uniform data is the hard case: little pruning, but results must stay exact."""
         store = DecomposedStore(uniform_vectors)
-        searcher = BondSearcher(store, SquaredEuclidean(), EvBound())
+        searcher = BondSearcher(store, metric=SquaredEuclidean(), bound=EvBound())
         reference = exact_top_k(uniform_vectors, uniform_vectors[5], 10, SquaredEuclidean())
         assert result_scores_match(searcher.search(uniform_vectors[5], 10), reference)
 
@@ -138,7 +138,7 @@ class TestCorrectness:
 
 class TestWorkAvoidance:
     def test_prunes_most_of_the_collection(self, corel_store, corel_histograms):
-        searcher = BondSearcher(corel_store, HistogramIntersection(), HqBound())
+        searcher = BondSearcher(corel_store, metric=HistogramIntersection(), bound=HqBound())
         result = searcher.search(corel_histograms[50], 10)
         _, remaining = result.candidate_trace.as_arrays()
         assert remaining[-1] <= max(10, 0.05 * corel_store.cardinality)
@@ -146,10 +146,10 @@ class TestWorkAvoidance:
     def test_reads_fewer_bytes_than_scan(self, corel_histograms):
         store = DecomposedStore(corel_histograms)
         row_store = RowStore(corel_histograms)
-        bond_result = BondSearcher(store, HistogramIntersection(), HqBound()).search(
+        bond_result = BondSearcher(store, metric=HistogramIntersection(), bound=HqBound()).search(
             corel_histograms[50], 10
         )
-        scan_result = SequentialScan(row_store, HistogramIntersection()).search(
+        scan_result = SequentialScan(row_store, metric=HistogramIntersection()).search(
             corel_histograms[50], 10
         )
         assert bond_result.cost.bytes_read < scan_result.cost.bytes_read / 2
@@ -167,6 +167,6 @@ class TestWorkAvoidance:
     def test_subspace_query_never_touches_other_fragments(self, clustered_vectors):
         store = DecomposedStore(clustered_vectors)
         metric = WeightedSquaredEuclidean.for_subspace(clustered_vectors.shape[1], [0, 1, 2, 3])
-        searcher = BondSearcher(store, metric)
+        searcher = BondSearcher(store, metric=metric)
         result = searcher.search(clustered_vectors[0], 5)
         assert result.dimensions_processed <= 4

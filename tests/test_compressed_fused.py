@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 
 from repro.baselines.vafile import VAFile
+from repro.core import rounds
 from repro.core.compressed import CompressedBondSearcher
 from repro.errors import QueryError, StorageError
 from repro.kernels.interval import (
@@ -52,30 +53,41 @@ def results_bitwise_equal(left, right) -> bool:
 
 class TestFusedEqualsLoop:
     @pytest.mark.parametrize("metric_index", [0, 1, 2])
-    def test_bitwise_identical_results_and_cost(self, corel_histograms, metric_index):
+    def test_bitwise_identical_results_and_cost(self, corel_histograms, metric_index, monkeypatch):
+        # A tiny tile height makes the batch's full-collection rounds run tiled.
+        monkeypatch.setattr(rounds, "TILE_ROWS", 97)
         metric = metrics_for(corel_histograms.shape[1])[metric_index]
         store = make_store(corel_histograms)
-        loop = CompressedBondSearcher(store, metric, engine="loop")
-        fused = CompressedBondSearcher(store, metric, engine="fused")
-        for query_index in (3, 42, 800):
+        loop = CompressedBondSearcher(store, metric=metric, engine="loop")
+        fused = CompressedBondSearcher(store, metric=metric, engine="fused")
+        query_indices = (3, 42, 800)
+        loop_results = []
+        for query_index in query_indices:
             query = corel_histograms[query_index]
             loop_result = loop.search(query, 10)
             fused_result = fused.search(query, 10)
+            loop_results.append(loop_result)
             assert results_bitwise_equal(loop_result, fused_result)
             assert loop_result.cost.as_dict() == fused_result.cost.as_dict()
+            assert fused_result.cost == fused.search_batch(query[None], 10).cost
             assert loop_result.dimensions_processed == fused_result.dimensions_processed
             assert loop_result.full_scan_dimensions == fused_result.full_scan_dimensions
             trace_loop = loop_result.candidate_trace.as_arrays()
             trace_fused = fused_result.candidate_trace.as_arrays()
             assert np.array_equal(trace_loop[0], trace_fused[0])
             assert np.array_equal(trace_loop[1], trace_fused[1])
+        batch = fused.search_batch(corel_histograms[list(query_indices)], 10)
+        for loop_result, batched in zip(loop_results, batch):
+            assert results_bitwise_equal(loop_result, batched)
+            assert loop_result.dimensions_processed == batched.dimensions_processed
+            assert loop_result.full_scan_dimensions == batched.full_scan_dimensions
 
     def test_both_engines_match_brute_force(self, corel_histograms):
         for metric in metrics_for(corel_histograms.shape[1]):
             store = make_store(corel_histograms)
             reference = exact_top_k(corel_histograms, corel_histograms[7], 10, metric)
             for engine in ("loop", "fused"):
-                searcher = CompressedBondSearcher(store, metric, engine=engine)
+                searcher = CompressedBondSearcher(store, metric=metric, engine=engine)
                 assert results_bitwise_equal(searcher.search(corel_histograms[7], 10), reference)
 
     def test_invalid_engine_rejected(self, corel_histograms):
@@ -124,8 +136,8 @@ class TestFusedEqualsLoop:
 
         metric = ManhattanLike()
         store = make_store(clustered_vectors)
-        loop = CompressedBondSearcher(store, metric, engine="loop")
-        fused = CompressedBondSearcher(store, metric, engine="fused")
+        loop = CompressedBondSearcher(store, metric=metric, engine="loop")
+        fused = CompressedBondSearcher(store, metric=metric, engine="fused")
         assert isinstance(fused.interval_kernel, GenericIntervalKernel)
         query = clustered_vectors[11]
         assert results_bitwise_equal(loop.search(query, 8), fused.search(query, 8))
@@ -135,7 +147,7 @@ class TestBatchedCompressedSearch:
     def test_batch_matches_single_queries_bitwise(self, corel_histograms):
         for metric in metrics_for(corel_histograms.shape[1]):
             store = make_store(corel_histograms)
-            searcher = CompressedBondSearcher(store, metric, engine="fused")
+            searcher = CompressedBondSearcher(store, metric=metric, engine="fused")
             queries = corel_histograms[[5, 77, 300, 901]]
             batch = searcher.search_batch(queries, 10)
             assert len(batch) == queries.shape[0]
@@ -145,14 +157,14 @@ class TestBatchedCompressedSearch:
 
     def test_batch_matches_brute_force(self, corel_histograms):
         store = make_store(corel_histograms)
-        searcher = CompressedBondSearcher(store, HistogramIntersection())
+        searcher = CompressedBondSearcher(store, metric=HistogramIntersection())
         queries = corel_histograms[[1, 2, 3]]
         for query, result in zip(queries, searcher.search_batch(queries, 10)):
             assert results_bitwise_equal(result, exact_top_k(corel_histograms, query, 10, HistogramIntersection()))
 
     def test_batch_shares_fragment_reads(self, corel_histograms):
         store = make_store(corel_histograms)
-        searcher = CompressedBondSearcher(store, HistogramIntersection())
+        searcher = CompressedBondSearcher(store, metric=HistogramIntersection())
         queries = corel_histograms[[10, 11, 12, 13, 14, 15]]
         singles_bytes = sum(searcher.search(query, 10).cost.bytes_read for query in queries)
         checkpoint = store.cost.checkpoint()
@@ -163,7 +175,7 @@ class TestBatchedCompressedSearch:
 
     def test_single_query_accepted_as_batch_of_one(self, corel_histograms):
         store = make_store(corel_histograms)
-        searcher = CompressedBondSearcher(store, HistogramIntersection())
+        searcher = CompressedBondSearcher(store, metric=HistogramIntersection())
         batch = searcher.search_batch(corel_histograms[4], 5)
         assert len(batch) == 1
         assert results_bitwise_equal(batch[0], searcher.search(corel_histograms[4], 5))
@@ -182,7 +194,7 @@ class TestOutOfUnitBoxRegression:
         store = make_store(wide_data)
         rng = np.random.default_rng(7)
         for engine in ("loop", "fused"):
-            searcher = CompressedBondSearcher(store, metric, engine=engine)
+            searcher = CompressedBondSearcher(store, metric=metric, engine=engine)
             for index in range(8):
                 query = wide_data[index] + rng.normal(0.0, 0.5, wide_data.shape[1])
                 result = searcher.search(query, 10)
@@ -197,7 +209,7 @@ class TestOutOfUnitBoxRegression:
         store = make_store(wide_data)
         rng = np.random.default_rng(11)
         for engine in ("loop", "fused"):
-            searcher = CompressedBondSearcher(store, metric, engine=engine)
+            searcher = CompressedBondSearcher(store, metric=metric, engine=engine)
             for _ in range(5):
                 query = rng.random(wide_data.shape[1])
                 result = searcher.search(query, 10)
@@ -207,7 +219,7 @@ class TestOutOfUnitBoxRegression:
     def test_corner_uses_fragment_ranges(self, wide_data):
         """The distance prune must assume the farthest stored value, not 1."""
         store = make_store(wide_data)
-        searcher = CompressedBondSearcher(store, SquaredEuclidean(require_unit_box=False))
+        searcher = CompressedBondSearcher(store, metric=SquaredEuclidean(require_unit_box=False))
         query = np.zeros(wide_data.shape[1])
         order = np.arange(wide_data.shape[1], dtype=np.int64)
         # with nothing processed, kappa must bound the worst true distance
@@ -232,10 +244,10 @@ class TestEuclideanSimilarityPruneDirection:
         store = make_store(clustered_vectors)
         reference = exact_top_k(clustered_vectors, clustered_vectors[21], 10, metric)
         for engine in ("loop", "fused"):
-            searcher = CompressedBondSearcher(store, metric, engine=engine)
+            searcher = CompressedBondSearcher(store, metric=metric, engine=engine)
             result = searcher.search(clustered_vectors[21], 10)
             assert results_bitwise_equal(result, reference)
-        vafile = VAFile(store, metric)
+        vafile = VAFile(store, metric=metric)
         assert results_bitwise_equal(vafile.search(clustered_vectors[21], 10), reference)
 
 
@@ -257,7 +269,7 @@ class TestNoFalseDismissalProperty:
         query = rng.random(dimensionality) * scale + offset
         reference = exact_top_k(data, query, k, metric)
         for engine in ("loop", "fused"):
-            searcher = CompressedBondSearcher(store, metric, engine=engine)
+            searcher = CompressedBondSearcher(store, metric=metric, engine=engine)
             assert results_bitwise_equal(searcher.search(query, k), reference)
 
     @pytest.mark.parametrize("bits", [2, 4, 6, 8, 12])
@@ -267,14 +279,14 @@ class TestNoFalseDismissalProperty:
         query = corel_histograms[123]
         reference = exact_top_k(corel_histograms, query, 10, metric)
         for engine in ("loop", "fused"):
-            searcher = CompressedBondSearcher(store, metric, engine=engine)
+            searcher = CompressedBondSearcher(store, metric=metric, engine=engine)
             assert results_bitwise_equal(searcher.search(query, 10), reference)
 
 
 class TestFullScanAccounting:
     def test_full_scan_dimensions_counts_only_full_fragment_reads(self, corel_histograms):
         store = make_store(corel_histograms)
-        searcher = CompressedBondSearcher(store, HistogramIntersection())
+        searcher = CompressedBondSearcher(store, metric=HistogramIntersection())
         result = searcher.search(corel_histograms[9], 10)
         # pruning collapses the candidate set well before the order runs out,
         # so later rounds are positional fetches and must not be counted
@@ -322,7 +334,7 @@ class TestFullScanAccounting:
 class TestVAFileBatchAndDiagnostics:
     def test_batched_filter_matches_single_queries(self, corel_histograms):
         store = make_store(corel_histograms)
-        vafile = VAFile(store, HistogramIntersection())
+        vafile = VAFile(store, metric=HistogramIntersection())
         queries = corel_histograms[[2, 60, 400]]
         singles = [vafile.search(query, 10) for query in queries]
         batch = vafile.search_batch(queries, 10)
@@ -331,7 +343,7 @@ class TestVAFileBatchAndDiagnostics:
 
     def test_batched_filter_shares_the_approximation_pass(self, corel_histograms):
         store = make_store(corel_histograms)
-        vafile = VAFile(store, HistogramIntersection())
+        vafile = VAFile(store, metric=HistogramIntersection())
         queries = corel_histograms[[2, 60, 400, 800]]
         singles_bytes = sum(vafile.search(query, 10).cost.bytes_read for query in queries)
         batch = vafile.search_batch(queries, 10)
@@ -339,7 +351,7 @@ class TestVAFileBatchAndDiagnostics:
 
     def test_filter_candidate_count_is_side_effect_free(self, corel_histograms):
         store = make_store(corel_histograms)
-        vafile = VAFile(store, HistogramIntersection())
+        vafile = VAFile(store, metric=HistogramIntersection())
         before = store.cost.checkpoint().as_dict()
         survivors = vafile.filter_candidate_count(corel_histograms[33], 10)
         assert survivors >= 10
@@ -347,7 +359,7 @@ class TestVAFileBatchAndDiagnostics:
 
     def test_batch_rejects_bad_inputs(self, corel_histograms):
         store = make_store(corel_histograms)
-        vafile = VAFile(store, HistogramIntersection())
+        vafile = VAFile(store, metric=HistogramIntersection())
         with pytest.raises(QueryError):
             vafile.search_batch(corel_histograms[:2], 0)
         with pytest.raises(QueryError):

@@ -57,8 +57,8 @@ class TestContributionInterval:
 class TestCompressedBond:
     def test_exact_results_histogram(self, corel_histograms):
         compressed = CompressedStore(DecomposedStore(corel_histograms), bits=8)
-        searcher = CompressedBondSearcher(compressed, HistogramIntersection())
-        scan = SequentialScan(RowStore(corel_histograms), HistogramIntersection())
+        searcher = CompressedBondSearcher(compressed, metric=HistogramIntersection())
+        scan = SequentialScan(RowStore(corel_histograms), metric=HistogramIntersection())
         for query_index in (2, 50):
             assert result_scores_match(
                 searcher.search(corel_histograms[query_index], 10),
@@ -67,7 +67,7 @@ class TestCompressedBond:
 
     def test_exact_results_euclidean(self, clustered_vectors):
         compressed = CompressedStore(DecomposedStore(clustered_vectors), bits=8)
-        searcher = CompressedBondSearcher(compressed, SquaredEuclidean())
+        searcher = CompressedBondSearcher(compressed, metric=SquaredEuclidean())
         reference = exact_top_k(clustered_vectors, clustered_vectors[8], 10, SquaredEuclidean())
         assert result_scores_match(searcher.search(clustered_vectors[8], 10), reference)
 
@@ -75,11 +75,11 @@ class TestCompressedBond:
         from repro.core.bond import BondSearcher
 
         exact_store = DecomposedStore(corel_histograms)
-        exact_result = BondSearcher(exact_store, HistogramIntersection()).search(
+        exact_result = BondSearcher(exact_store, metric=HistogramIntersection()).search(
             corel_histograms[9], 10
         )
         compressed = CompressedStore(DecomposedStore(corel_histograms), bits=8)
-        compressed_result = CompressedBondSearcher(compressed, HistogramIntersection()).search(
+        compressed_result = CompressedBondSearcher(compressed, metric=HistogramIntersection()).search(
             corel_histograms[9], 10
         )
         assert compressed_result.cost.bytes_read < exact_result.cost.bytes_read

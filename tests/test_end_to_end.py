@@ -35,7 +35,7 @@ class TestPublicApi:
     def test_readme_quickstart_flow(self):
         histograms = make_corel_like(cardinality=800, dimensionality=64, seed=1)
         store = DecomposedStore(histograms)
-        searcher = BondSearcher(store, HistogramIntersection())
+        searcher = BondSearcher(store, metric=HistogramIntersection())
         result = searcher.search(histograms[42], k=10)
         assert result.k == 10
         assert result.oids[0] == 42
@@ -50,10 +50,10 @@ class TestPublicApi:
         compressed = CompressedStore(store)
         metric = HistogramIntersection()
         searchers = [
-            BondSearcher(store, metric),
-            CompressedBondSearcher(compressed, metric),
-            VAFile(compressed, metric),
-            SequentialScan(RowStore(histograms), metric),
+            BondSearcher(store, metric=metric),
+            CompressedBondSearcher(compressed, metric=metric),
+            VAFile(compressed, metric=metric),
+            SequentialScan(RowStore(histograms), metric=metric),
         ]
         for query in workload:
             results = [searcher.search(query, 10) for searcher in searchers]
@@ -64,7 +64,7 @@ class TestPublicApi:
         vectors = make_clustered(cardinality=700, dimensionality=32, seed=5)
         store = DecomposedStore(vectors)
         metric = SquaredEuclidean()
-        bond_result = BondSearcher(store, metric).search(vectors[17], 10)
+        bond_result = BondSearcher(store, metric=metric).search(vectors[17], 10)
         reference = exact_top_k(vectors, vectors[17], 10, metric)
         assert result_scores_match(bond_result, reference)
 
@@ -85,14 +85,14 @@ class TestPublicApi:
         store.delete([0])
         store.reorganize()
         assert store.cardinality == 409
-        searcher = BondSearcher(store, HistogramIntersection())
+        searcher = BondSearcher(store, metric=HistogramIntersection())
         result = searcher.search(extra[3], 1)
         assert result.scores[0] == pytest.approx(1.0)
 
     def test_cost_model_isolation_between_queries(self):
         histograms = make_corel_like(cardinality=400, dimensionality=32, seed=9)
         store = DecomposedStore(histograms)
-        searcher = BondSearcher(store, HistogramIntersection())
+        searcher = BondSearcher(store, metric=HistogramIntersection())
         first = searcher.search(histograms[1], 5)
         second = searcher.search(histograms[2], 5)
         # Each result's cost covers only its own query (checkpoint-based accounting).

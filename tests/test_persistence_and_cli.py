@@ -50,7 +50,7 @@ class TestPersistence:
         loaded = load_decomposed(tmp_path / "c")
         query = corel_histograms[7]
         expected = exact_top_k(corel_histograms[:300], query, 5, HistogramIntersection())
-        result = BondSearcher(loaded, HistogramIntersection()).search(query, 5)
+        result = BondSearcher(loaded, metric=HistogramIntersection()).search(query, 5)
         assert result_scores_match(result, expected)
 
     def test_partial_load_of_a_subspace(self, corel_histograms, tmp_path):

@@ -16,24 +16,24 @@ from repro.workload.ground_truth import exact_top_k, result_scores_match
 
 class TestSequentialScan:
     def test_matches_brute_force_histogram(self, corel_rowstore, corel_histograms):
-        scan = SequentialScan(corel_rowstore, HistogramIntersection())
+        scan = SequentialScan(corel_rowstore, metric=HistogramIntersection())
         result = scan.search(corel_histograms[4], 10)
         reference = exact_top_k(corel_histograms, corel_histograms[4], 10, HistogramIntersection())
         assert result_scores_match(result, reference)
 
     def test_matches_brute_force_euclidean(self, clustered_rowstore, clustered_vectors):
-        scan = SequentialScan(clustered_rowstore, SquaredEuclidean())
+        scan = SequentialScan(clustered_rowstore, metric=SquaredEuclidean())
         result = scan.search(clustered_vectors[4], 10)
         reference = exact_top_k(clustered_vectors, clustered_vectors[4], 10, SquaredEuclidean())
         assert result_scores_match(result, reference)
 
     def test_reads_whole_table(self, corel_rowstore, corel_histograms):
-        result = SequentialScan(corel_rowstore, HistogramIntersection()).search(corel_histograms[0], 5)
+        result = SequentialScan(corel_rowstore, metric=HistogramIntersection()).search(corel_histograms[0], 5)
         assert result.cost.bytes_read >= corel_histograms.size * 8
 
     def test_small_batches_give_same_answer(self, corel_histograms):
-        small = SequentialScan(RowStore(corel_histograms), HistogramIntersection(), batch_size=7)
-        large = SequentialScan(RowStore(corel_histograms), HistogramIntersection(), batch_size=10_000)
+        small = SequentialScan(RowStore(corel_histograms), metric=HistogramIntersection(), batch_size=7)
+        large = SequentialScan(RowStore(corel_histograms), metric=HistogramIntersection(), batch_size=10_000)
         assert result_scores_match(
             small.search(corel_histograms[3], 10), large.search(corel_histograms[3], 10)
         )
@@ -49,19 +49,19 @@ class TestSequentialScan:
 
 class TestPartialAbandonScan:
     def test_matches_brute_force_histogram(self, corel_rowstore, corel_histograms):
-        scan = PartialAbandonScan(corel_rowstore, HistogramIntersection(), check_period=8)
+        scan = PartialAbandonScan(corel_rowstore, metric=HistogramIntersection(), check_period=8)
         result = scan.search(corel_histograms[6], 10)
         reference = exact_top_k(corel_histograms, corel_histograms[6], 10, HistogramIntersection())
         assert result_scores_match(result, reference)
 
     def test_matches_brute_force_euclidean(self, clustered_rowstore, clustered_vectors):
-        scan = PartialAbandonScan(clustered_rowstore, SquaredEuclidean(), check_period=8)
+        scan = PartialAbandonScan(clustered_rowstore, metric=SquaredEuclidean(), check_period=8)
         result = scan.search(clustered_vectors[6], 10)
         reference = exact_top_k(clustered_vectors, clustered_vectors[6], 10, SquaredEuclidean())
         assert result_scores_match(result, reference)
 
     def test_touches_fewer_values_than_full_scan(self, corel_rowstore, corel_histograms):
-        scan = PartialAbandonScan(corel_rowstore, HistogramIntersection(), check_period=8)
+        scan = PartialAbandonScan(corel_rowstore, metric=HistogramIntersection(), check_period=8)
         result = scan.search(corel_histograms[6], 10)
         assert result.cost.tuples_scanned < corel_histograms.size
 

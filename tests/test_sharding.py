@@ -1,5 +1,5 @@
 """Sharded parallel engine suite: plan/slicing invariants, bitwise identity
-of sharded results against the unsharded fused engines (any shard count, tile
+of sharded results against the unsharded searchers (any shard count, tile
 size, metric, mode, worker count), cost aggregation across worker threads,
 and the query-side early-out of the compressed filter."""
 
@@ -12,15 +12,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.batch import BatchQueryEngine
+from repro.core import rounds
 from repro.core.bond import BondSearcher
 from repro.core.compressed import CompressedBondSearcher
 from repro.core.parallel import (
-    DEFAULT_TILE_ROWS,
     ShardedBondSearcher,
     ShardedCompressedBondSearcher,
-    TiledBatchQueryEngine,
-    TiledCompressedBatchEngine,
     merge_traces,
 )
 from repro.core.planner import FixedPeriodSchedule
@@ -183,16 +180,13 @@ class TestShardedExactIdentity:
             reference.search_batch(queries, 10), sharded.search_batch(queries, 10)
         )
 
-    @pytest.mark.parametrize("tile_rows", [1, 37, 500, DEFAULT_TILE_ROWS])
-    def test_any_tile_size_is_identical(self, corel_histograms, tile_rows):
-        reference = BondSearcher(DecomposedStore(corel_histograms))
-        sharded = ShardedBondSearcher(
-            DecomposedStore(corel_histograms), shards=3, workers=1, tile_rows=tile_rows
-        )
+    @pytest.mark.parametrize("tile_rows", [1, 37, 500, rounds.TILE_ROWS])
+    def test_any_tile_size_is_identical(self, corel_histograms, tile_rows, monkeypatch):
         queries = corel_histograms[:4]
-        assert batches_identical(
-            reference.search_batch(queries, 7), sharded.search_batch(queries, 7)
-        )
+        expected = BondSearcher(DecomposedStore(corel_histograms)).search_batch(queries, 7)
+        monkeypatch.setattr(rounds, "TILE_ROWS", tile_rows)
+        sharded = ShardedBondSearcher(DecomposedStore(corel_histograms), shards=3, workers=1)
+        assert batches_identical(expected, sharded.search_batch(queries, 7))
 
     def test_single_query_and_worker_pool(self, corel_histograms):
         reference = BondSearcher(DecomposedStore(corel_histograms))
@@ -223,38 +217,35 @@ class TestShardedExactIdentity:
             reference.search(small[2], 20), sharded.search(small[2], 20)
         )
 
-    def test_tiled_engine_alone_matches_plain_batch_engine(self, corel_histograms):
-        store = DecomposedStore(corel_histograms)
-        searcher = BondSearcher(store)
+    def test_tiled_engine_alone_matches_plain_batch_engine(
+        self, corel_histograms, monkeypatch
+    ):
         queries = corel_histograms[10:16]
-        plain = BatchQueryEngine(searcher, queries, 9).run()
-        tiled = TiledBatchQueryEngine(
-            BondSearcher(DecomposedStore(corel_histograms)), queries, 9, tile_rows=111
-        ).run()
-        assert all(results_identical(a, b) for a, b in zip(plain, tiled))
+        plain = BondSearcher(DecomposedStore(corel_histograms)).search_batch(queries, 9)
+        monkeypatch.setattr(rounds, "TILE_ROWS", 111)
+        tiled = BondSearcher(DecomposedStore(corel_histograms)).search_batch(queries, 9)
+        assert batches_identical(plain, tiled)
 
 
 class TestShardedCompressedIdentity:
     @pytest.mark.parametrize("metric_index", [0, 1, 2])
     @pytest.mark.parametrize("shards", [1, 3])
     def test_batch_identical_to_unsharded_fused(
-        self, corel_histograms, metric_index, shards
+        self, corel_histograms, metric_index, shards, monkeypatch
     ):
         metric = exact_metrics(corel_histograms.shape[1])[metric_index]
-        reference = CompressedBondSearcher(
+        queries = corel_histograms[[8, 450, 1001]]
+        expected = CompressedBondSearcher(
             CompressedStore(DecomposedStore(corel_histograms)), metric=metric
-        )
+        ).search_batch(queries, 10)
+        monkeypatch.setattr(rounds, "TILE_ROWS", 173)
         sharded = ShardedCompressedBondSearcher(
             CompressedStore(DecomposedStore(corel_histograms)),
             metric=metric,
             shards=shards,
             workers=1,
-            tile_rows=173,
         )
-        queries = corel_histograms[[8, 450, 1001]]
-        assert batches_identical(
-            reference.search_batch(queries, 10), sharded.search_batch(queries, 10)
-        )
+        assert batches_identical(expected, sharded.search_batch(queries, 10))
 
     def test_results_are_exact_top_k(self, clustered_vectors):
         # Off-unit-box Euclidean data: the corner-bound path plus sharding.
@@ -268,17 +259,18 @@ class TestShardedCompressedIdentity:
             assert results_identical(expected, sharded.search(data[query_index], 10))
         sharded.close()
 
-    def test_tiled_engine_alone_matches_plain_search_batch(self, corel_histograms):
-        store = CompressedStore(DecomposedStore(corel_histograms))
-        reference = CompressedBondSearcher(
-            CompressedStore(DecomposedStore(corel_histograms))
-        )
+    def test_tiled_engine_alone_matches_plain_search_batch(
+        self, corel_histograms, monkeypatch
+    ):
         queries = corel_histograms[20:25]
-        plain = reference.search_batch(queries, 6)
-        tiled = TiledCompressedBatchEngine(
-            CompressedBondSearcher(store), queries, 6, tile_rows=77
-        ).run()
-        assert all(results_identical(a, b) for a, b in zip(plain, tiled))
+        plain = CompressedBondSearcher(
+            CompressedStore(DecomposedStore(corel_histograms))
+        ).search_batch(queries, 6)
+        monkeypatch.setattr(rounds, "TILE_ROWS", 77)
+        tiled = CompressedBondSearcher(
+            CompressedStore(DecomposedStore(corel_histograms))
+        ).search_batch(queries, 6)
+        assert batches_identical(plain, tiled)
 
 
 @settings(max_examples=12, deadline=None)
@@ -302,24 +294,17 @@ def test_sharded_identity_property(shards, tile_rows, k, data_seed):
     queries = data[rng.choice(180, 3, replace=False)]
 
     exact_reference = BondSearcher(DecomposedStore(data))
-    exact_sharded = ShardedBondSearcher(
-        DecomposedStore(data), shards=shards, workers=1, tile_rows=tile_rows
-    )
-    assert batches_identical(
-        exact_reference.search_batch(queries, k), exact_sharded.search_batch(queries, k)
-    )
-
     compressed_reference = CompressedBondSearcher(CompressedStore(DecomposedStore(data)))
-    compressed_sharded = ShardedCompressedBondSearcher(
-        CompressedStore(DecomposedStore(data)),
-        shards=shards,
-        workers=1,
-        tile_rows=tile_rows,
-    )
-    assert batches_identical(
-        compressed_reference.search_batch(queries, k),
-        compressed_sharded.search_batch(queries, k),
-    )
+    exact_expected = exact_reference.search_batch(queries, k)
+    compressed_expected = compressed_reference.search_batch(queries, k)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(rounds, "TILE_ROWS", tile_rows)
+        exact_sharded = ShardedBondSearcher(DecomposedStore(data), shards=shards, workers=1)
+        assert batches_identical(exact_expected, exact_sharded.search_batch(queries, k))
+        compressed_sharded = ShardedCompressedBondSearcher(
+            CompressedStore(DecomposedStore(data)), shards=shards, workers=1
+        )
+        assert batches_identical(compressed_expected, compressed_sharded.search_batch(queries, k))
 
 
 # -- cost aggregation --------------------------------------------------------
@@ -491,13 +476,14 @@ class TestQuerySideEarlyOut:
             assert results_identical(loop_result, fused_result)
             assert loop_cost.as_dict() == fused_cost.as_dict()
 
-    def test_early_out_in_batch_and_sharded_paths(self, zeroed_collection):
+    def test_early_out_in_batch_and_sharded_paths(self, zeroed_collection, monkeypatch):
         data = zeroed_collection
         queries = data[:5]
         reference = CompressedBondSearcher(CompressedStore(DecomposedStore(data)))
         batch = reference.search_batch(queries, 6)
+        monkeypatch.setattr(rounds, "TILE_ROWS", 13)
         sharded = ShardedCompressedBondSearcher(
-            CompressedStore(DecomposedStore(data)), shards=3, workers=1, tile_rows=13
+            CompressedStore(DecomposedStore(data)), shards=3, workers=1
         )
         assert batches_identical(batch, sharded.search_batch(queries, 6))
 

@@ -162,7 +162,7 @@ class TestStoreUpdates:
         store = DecomposedStore(corel_histograms[:200])
         store.append(corel_histograms[200:210])
         store.reorganize()
-        searcher = BondSearcher(store, HistogramIntersection())
+        searcher = BondSearcher(store, metric=HistogramIntersection())
         result = searcher.search(corel_histograms[205], k=1)
         # The appended histogram must be findable and be its own nearest neighbour.
         assert result.scores[0] == pytest.approx(1.0)
