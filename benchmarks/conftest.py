@@ -7,8 +7,9 @@ pass ``--repro-scale=paper`` to run at the published collection sizes and
 ``--repro-scale=small``/``medium`` for the intermediate presets.
 
 The resulting tables are printed to the terminal (run pytest with ``-s`` to
-see them) and also written to ``benchmarks/results/<experiment id>.txt`` so
-EXPERIMENTS.md can reference them.
+see them) and also written to ``.bench_out/results/<experiment id>.txt`` at
+the repository root.  That directory is not tracked: the tables carry
+wall-clock timings that change on every run.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ BENCH_SCALE = ExperimentScale(
     name="bench", corel_cardinality=4_000, clustered_cardinality=4_000, num_queries=8
 )
 
-RESULTS_DIRECTORY = pathlib.Path(__file__).parent / "results"
+RESULTS_DIRECTORY = pathlib.Path(__file__).resolve().parent.parent / ".bench_out" / "results"
 
 
 def pytest_addoption(parser: pytest.Parser) -> None:
@@ -47,8 +48,8 @@ def experiment_scale(request: pytest.FixtureRequest) -> ExperimentScale:
 
 @pytest.fixture(scope="session")
 def record_report():
-    """Persist a report to benchmarks/results/ and echo it to the terminal."""
-    RESULTS_DIRECTORY.mkdir(exist_ok=True)
+    """Persist a report to .bench_out/results/ and echo it to the terminal."""
+    RESULTS_DIRECTORY.mkdir(parents=True, exist_ok=True)
 
     def _record(report) -> None:
         text = report.format_table()

@@ -114,6 +114,8 @@ class Backend(abc.ABC):
     capabilities: Capabilities
     #: Execution-engine label reported by ``explain()``.
     engine: str = "-"
+    #: ``approx_params`` fields the searcher takes as keyword arguments.
+    approx_knobs: tuple[str, ...] = ()
 
     @property
     def name(self) -> str:
@@ -141,6 +143,11 @@ class Backend(abc.ABC):
     def create(self, index: "Index", metric: Metric):
         """Build the underlying searcher on the index's stores."""
 
+    def engine_for(self, searcher, query: "Query"):
+        """The engine of ``searcher`` that runs ``query`` (the searcher itself,
+        unless one searcher serves several modes through several engines)."""
+        return searcher
+
     def answer(
         self, index: "Index", query: "Query", metric: Metric
     ) -> SearchResult | BatchSearchResult:
@@ -149,16 +156,22 @@ class Backend(abc.ABC):
         Single-vector queries go through ``search`` and batches through
         ``search_batch`` with the *same* arguments a direct call would use,
         which is what keeps facade answers bitwise identical to direct
-        searcher calls.
+        searcher calls.  The query's ``approx_params`` knobs named in
+        :attr:`approx_knobs` are passed through as keyword arguments.
         """
         fault_point(
             "backend.answer", backend=self.name, generation=getattr(index, "generation", 0)
         )
-        searcher = index.searcher_for(self, query, metric)
+        engine = self.engine_for(index.searcher_for(self, query, metric), query)
+        params = query.approx_params
+        knobs = {
+            knob: None if params is None else getattr(params, knob)
+            for knob in self.approx_knobs
+        }
         if query.is_batch:
-            return searcher.search_batch(query.query_matrix, query.k)
+            return engine.search_batch(query.query_matrix, query.k, **knobs)
         trace = PruningTrace() if query.trace else None
-        return searcher.search(query.single_vector, query.k, trace=trace)
+        return engine.search(query.single_vector, query.k, trace=trace, **knobs)
 
 
 class BondBackend(Backend):
@@ -424,19 +437,9 @@ class ShardedBondBackend(Backend):
             executor=index.shard_executor,
         )
 
-    def answer(
-        self, index: "Index", query: "Query", metric: Metric
-    ) -> SearchResult | BatchSearchResult:
-        """Route the query to the mode-matching sharded engine."""
-        fault_point(
-            "backend.answer", backend=self.name, generation=getattr(index, "generation", 0)
-        )
-        searcher = index.searcher_for(self, query, metric)
-        engine = searcher.engine_for_mode(query.mode)
-        if query.is_batch:
-            return engine.search_batch(query.query_matrix, query.k)
-        trace = PruningTrace() if query.trace else None
-        return engine.search(query.single_vector, query.k, trace=trace)
+    def engine_for(self, searcher: ShardedSearcher, query: "Query"):
+        """The mode-matching sharded engine (exact or compressed)."""
+        return searcher.engine_for_mode(query.mode)
 
 
 class VAFileBackend(Backend):
@@ -501,6 +504,7 @@ class IVFBackend(Backend):
         exact=False,
     )
     engine = "ivf+fused"
+    approx_knobs = ("nprobe", "target_recall")
 
     @staticmethod
     def _knobs(index: "Index", query: "Query") -> tuple[int, int]:
@@ -544,30 +548,6 @@ class IVFBackend(Backend):
             default_nprobe=index.approx_config.default_nprobe,
         )
 
-    def answer(
-        self, index: "Index", query: "Query", metric: Metric
-    ) -> SearchResult | BatchSearchResult:
-        """Execute with the query's ``approx_params`` knobs threaded through."""
-        fault_point(
-            "backend.answer", backend=self.name, generation=getattr(index, "generation", 0)
-        )
-        searcher = index.searcher_for(self, query, metric)
-        params = query.approx_params
-        nprobe = params.nprobe if params is not None else None
-        target_recall = params.target_recall if params is not None else None
-        if query.is_batch:
-            return searcher.search_batch(
-                query.query_matrix, query.k, nprobe=nprobe, target_recall=target_recall
-            )
-        trace = PruningTrace() if query.trace else None
-        return searcher.search(
-            query.single_vector,
-            query.k,
-            nprobe=nprobe,
-            target_recall=target_recall,
-            trace=trace,
-        )
-
 
 class HNSWBackend(Backend):
     """Hierarchical navigable small-world graph with an ``ef_search`` beam.
@@ -590,6 +570,7 @@ class HNSWBackend(Backend):
         exact=False,
     )
     engine = "graph-beam"
+    approx_knobs = ("ef_search", "target_recall")
 
     def estimate(self, index: "Index", query: "Query", metric: Metric) -> CostEstimate:
         n, d = index.cardinality, index.dimensionality
@@ -625,30 +606,6 @@ class HNSWBackend(Backend):
             metric=metric,
             cost=index.cost,
             default_ef_search=index.approx_config.default_ef_search,
-        )
-
-    def answer(
-        self, index: "Index", query: "Query", metric: Metric
-    ) -> SearchResult | BatchSearchResult:
-        """Execute with the query's ``approx_params`` knobs threaded through."""
-        fault_point(
-            "backend.answer", backend=self.name, generation=getattr(index, "generation", 0)
-        )
-        searcher = index.searcher_for(self, query, metric)
-        params = query.approx_params
-        ef_search = params.ef_search if params is not None else None
-        target_recall = params.target_recall if params is not None else None
-        if query.is_batch:
-            return searcher.search_batch(
-                query.query_matrix, query.k, ef_search=ef_search, target_recall=target_recall
-            )
-        trace = PruningTrace() if query.trace else None
-        return searcher.search(
-            query.single_vector,
-            query.k,
-            ef_search=ef_search,
-            target_recall=target_recall,
-            trace=trace,
         )
 
 

@@ -70,16 +70,17 @@ from repro.approx import (
     build_cluster_plan,
     build_hnsw_graph,
 )
-from repro.core.parallel import SHARD_EXECUTORS
+from repro.core.parallel import SHARD_EXECUTORS, check_failure_policy
 from repro.core.result import BatchSearchResult, SearchResult
 from repro.engine.cost import CostModel
 from repro.engine.updates import DeltaLog
-from repro.errors import BackendError, FailoverExhausted, QueryError, StorageError
+from repro.errors import QueryError, StorageError
 from repro.metrics.base import Metric
 from repro.mutability.epoch import Epoch
 from repro.mutability.overlay import inflated_k, overlay_answer
 from repro.mutability.tail import TailState
 from repro.mutability.wal import OP_INSERT, WriteAheadLog, read_wal, wal_token
+from repro.reliability.retry import walk_failover
 from repro.storage.compressed import CompressedStore
 from repro.storage.decomposed import DecomposedStore
 from repro.storage.formats import FragmentFormat
@@ -151,8 +152,6 @@ class Index:
         :meth:`open`.
     """
 
-    SHARD_FAILURE_MODES = ("fail", "partial")
-
     def __init__(
         self,
         vectors: np.ndarray,
@@ -209,11 +208,7 @@ class Index:
         :meth:`open` path can run it without materialising the collection."""
         if shards < 1:
             raise QueryError("shards must be at least 1")
-        if on_shard_failure not in self.SHARD_FAILURE_MODES:
-            raise QueryError(
-                f"on_shard_failure must be one of {self.SHARD_FAILURE_MODES}, "
-                f"got {on_shard_failure!r}"
-            )
+        check_failure_policy(on_shard_failure, "on_shard_failure")
         if shard_executor not in SHARD_EXECUTORS:
             raise QueryError(
                 f"shard_executor must be one of {SHARD_EXECUTORS}, "
@@ -449,17 +444,7 @@ class Index:
                     "(pass overwrite=True)"
                 )
             approx_section, sidecar_files = self._approx_save_payload(generation)
-            extra_manifest = {
-                "index": {
-                    "bits": self._bits,
-                    "shards": self._shards,
-                    "on_shard_failure": self._on_shard_failure,
-                    "shard_executor": self._shard_executor,
-                    "format": self._format.spec,
-                    "approx": self._approx_config.to_manifest(),
-                },
-                "sharding": self.shard_plan.to_manifest(),
-            }
+            extra_manifest = self._manifest_sections(self.shard_plan)
             if approx_section:
                 extra_manifest["approx"] = approx_section
             target = save_decomposed(
@@ -472,6 +457,21 @@ class Index:
             )
         self._attach(target)
         return target
+
+    def _manifest_sections(self, shard_plan: ShardPlan) -> dict:
+        """The manifest's ``"index"`` build options and ``"sharding"`` layout:
+        everything :meth:`open` restores besides the fragments themselves."""
+        return {
+            "index": {
+                "bits": self._bits,
+                "shards": self._shards,
+                "on_shard_failure": self._on_shard_failure,
+                "shard_executor": self._shard_executor,
+                "format": self._format.spec,
+                "approx": self._approx_config.to_manifest(),
+            },
+            "sharding": shard_plan.to_manifest(),
+        }
 
     def _attach(self, home: pathlib.Path) -> None:
         """Bind the index to a freshly committed store directory.
@@ -740,24 +740,13 @@ class Index:
                 new_epoch.decomposed = DecomposedStore(
                     merged, cost=self._cost, name=self._name, format=self._format
                 )
-                extra_manifest = {
-                    "index": {
-                        "bits": self._bits,
-                        "shards": self._shards,
-                        "on_shard_failure": self._on_shard_failure,
-                        "shard_executor": self._shard_executor,
-                        "format": self._format.spec,
-                        "approx": self._approx_config.to_manifest(),
-                    },
-                    "sharding": ShardPlan.balanced(
-                        int(merged.shape[0]), self._shards
-                    ).to_manifest(),
-                }
                 save_decomposed(
                     new_epoch.decomposed,
                     self._home,
                     overwrite=True,
-                    extra_manifest=extra_manifest,
+                    extra_manifest=self._manifest_sections(
+                        ShardPlan.balanced(int(merged.shape[0]), self._shards)
+                    ),
                     generation=generation,
                     wal_lsn=epoch.tail.last_lsn,
                     durable=True,
@@ -1086,26 +1075,19 @@ class Index:
         planned exact backend — and when an approximate backend fails over,
         the substitute is exact too (recall 1.0 satisfies any approx
         request; the chain never swaps one approximation for another).
-        When the whole chain fails the per-backend errors
-        are collected into :class:`~repro.errors.FailoverExhausted`; a
-        single-entry chain re-raises the original error unchanged.
+        An exhausted chain raises by the rule of
+        :func:`~repro.reliability.retry.walk_failover`, the walk the serving
+        layer runs too: the first transient error (retryable), else the
+        only error of a one-entry chain, else
+        :class:`~repro.errors.FailoverExhausted` with every attempt.
         """
         with self.pin() as epoch:
             plan = self._planner.plan(query)
-            if not failover:
-                return self._execute_on(plan.backend, query, plan.metric, epoch)
-            attempts: list[tuple[str, BackendError]] = []
-            chain = plan.failover_chain()
-            for backend_name in chain:
-                backend = self._planner.registry.get(backend_name)
-                try:
-                    return self._execute_on(backend, query, plan.metric, epoch)
-                except BackendError as exc:
-                    attempts.append((backend_name, exc))
-            if len(chain) == 1:
-                raise attempts[0][1]
-            summary = "; ".join(f"{name}: {error}" for name, error in attempts)
-            raise FailoverExhausted(
-                f"all {len(attempts)} capable backends failed ({summary})",
-                attempts=attempts,
+            chain = plan.failover_chain() if failover else (plan.backend_name,)
+            result, _ = walk_failover(
+                chain,
+                lambda name: self._execute_on(
+                    self._planner.registry.get(name), query, plan.metric, epoch
+                ),
             )
+            return result

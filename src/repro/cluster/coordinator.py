@@ -42,7 +42,7 @@ import numpy as np
 
 from repro.api.index import Index
 from repro.api.query import Query
-from repro.core.parallel import merge_shard_results
+from repro.core.parallel import check_failure_policy, gather_surviving, merge_shard_results
 from repro.core.result import SearchResult
 from repro.engine.cost import CostAccount
 from repro.errors import QueryError, ServingError
@@ -142,8 +142,6 @@ class ClusterCoordinator:
         member (``bits``, ``format``, ``shards``, ``shard_executor``, ...).
     """
 
-    GROUP_FAILURE_MODES = ("fail", "partial")
-
     def __init__(
         self,
         vectors: np.ndarray,
@@ -154,11 +152,7 @@ class ClusterCoordinator:
         on_group_failure: str = "fail",
         index_options: dict | None = None,
     ) -> None:
-        if on_group_failure not in self.GROUP_FAILURE_MODES:
-            raise QueryError(
-                f"on_group_failure must be one of {self.GROUP_FAILURE_MODES}, "
-                f"got {on_group_failure!r}"
-            )
+        check_failure_policy(on_group_failure, "on_group_failure")
         matrix = np.asarray(vectors, dtype=np.float64)
         if matrix.ndim != 2 or matrix.shape[0] == 0:
             raise QueryError(
@@ -277,50 +271,40 @@ class ClusterCoordinator:
             ),
             return_exceptions=True,
         )
-        successes: list[tuple[int, SearchResult]] = []
-        failures: list[tuple[int, BaseException]] = []
-        for group, outcome in enumerate(outcomes):
-            if isinstance(outcome, BaseException):
-                failures.append((group, outcome))
-            else:
-                successes.append((group, outcome))
-        if failures and (self._on_group_failure == "fail" or not successes):
-            raise failures[0][1]
-        # Resolve the metric exactly as the members did (same Query surface).
-        resolved = Query(
-            vector,
-            k=k,
-            metric=metric,
-            weights=weights,
-            subspace=subspace,
-            mode=mode,
-            backend=backend,
-            approx_params=approx_params,
-        ).resolve_metric()
-        merged = merge_shard_results(
-            resolved,
-            [result for _, result in successes],
-            self._plan,
-            k,
-            shard_indices=[group for group, _ in successes],
-        )
-        cost = CostAccount()
-        for _, result in successes:
-            if result.cost is not None:
-                cost.add(result.cost)
-        merged.cost = cost
-        if failures:
-            merged.degraded = True
-            merged.failed_shards = tuple(group for group, _ in failures)
-        else:
+
+        def merge(survivors: list[tuple[int, SearchResult]]) -> list[SearchResult]:
+            # Resolve the metric exactly as the members did (same Query surface).
+            resolved = Query(
+                vector,
+                k=k,
+                metric=metric,
+                weights=weights,
+                subspace=subspace,
+                mode=mode,
+                backend=backend,
+                approx_params=approx_params,
+            ).resolve_metric()
+            merged = merge_shard_results(
+                resolved,
+                [result for _, result in survivors],
+                self._plan,
+                k,
+                shard_indices=[group for group, _ in survivors],
+            )
+            merged.cost = CostAccount()
+            for _, result in survivors:
+                if result.cost is not None:
+                    merged.cost.add(result.cost)
             # A member may itself have served a degraded (shard-partial)
             # answer; surface the flag so callers never mistake a partial
-            # merge for a complete one.
-            if any(result.degraded for _, result in successes):
+            # merge for a complete one (a lost group overrides it).
+            degraded = tuple(group for group, result in survivors if result.degraded)
+            if degraded:
                 merged.degraded = True
-                merged.failed_shards = tuple(
-                    group for group, result in successes if result.degraded
-                )
+                merged.failed_shards = degraded
+            return [merged]
+
+        (merged,) = gather_surviving(outcomes, self._on_group_failure, merge)
         merged.elapsed_seconds = time.perf_counter() - started
         return merged
 

@@ -6,7 +6,7 @@
 * :class:`~repro.core.sequential.SequentialScan` — Algorithm 1, the SSH / SSE
   baselines (plus the footnote-6 partial-abandon variant);
 * :mod:`~repro.core.ordering` — dimension-ordering strategies (Section 5.1);
-* :mod:`~repro.core.planner` — pruning-period schedules (Section 5.2);
+* :mod:`~repro.core.schedules` — pruning-period schedules (Section 5.2);
 * :mod:`~repro.core.compressed` — BOND over 8-bit approximated fragments with
   exact refinement (Section 7.4);
 * :mod:`~repro.core.weighted` / :mod:`~repro.core.subspace` — weighted and
@@ -32,7 +32,7 @@ from repro.core.ordering import (
     OriginalOrdering,
     RandomOrdering,
 )
-from repro.core.planner import (
+from repro.core.schedules import (
     FixedPeriodSchedule,
     GeometricSchedule,
     PruningSchedule,

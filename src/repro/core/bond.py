@@ -3,7 +3,7 @@
 The searcher accumulates the query's similarity (or distance) to every
 surviving vector one dimension fragment at a time, in an order chosen by a
 :class:`~repro.core.ordering.DimensionOrdering`.  After every batch of
-dimensions (controlled by a :class:`~repro.core.planner.PruningSchedule`) it
+dimensions (controlled by a :class:`~repro.core.schedules.PruningSchedule`) it
 asks the :class:`~repro.bounds.base.PruningBound` for lower/upper bounds on
 every candidate's complete score and discards the candidates that can no
 longer reach the top k:
@@ -46,7 +46,7 @@ from repro.bounds.weighted import WeightedEuclideanBound
 from repro.core import rounds
 from repro.core.candidates import CandidateMode, CandidateSet
 from repro.core.ordering import DecreasingQueryOrdering, DimensionOrdering
-from repro.core.planner import FixedPeriodSchedule, PruningSchedule
+from repro.core.schedules import FixedPeriodSchedule, PruningSchedule
 from repro.core.result import BatchSearchResult, PruningTrace, SearchResult
 from repro.core.rounds import QueryRun
 from repro.errors import QueryError

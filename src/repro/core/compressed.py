@@ -41,7 +41,7 @@ import numpy as np
 
 from repro.core import rounds
 from repro.core.ordering import DecreasingQueryOrdering, DimensionOrdering
-from repro.core.planner import FixedPeriodSchedule, PruningSchedule
+from repro.core.schedules import FixedPeriodSchedule, PruningSchedule
 from repro.core.result import BatchSearchResult, PruningTrace, SearchResult
 from repro.core.rounds import QueryRun
 from repro.engine.cost import COMPRESSED_BYTES

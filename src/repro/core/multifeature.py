@@ -37,7 +37,7 @@ import numpy as np
 from repro.bounds.base import PartialState, PruningBound
 from repro.core.bond import BondSearcher, default_bound_for
 from repro.core.ordering import DecreasingQueryOrdering
-from repro.core.planner import FixedPeriodSchedule, PruningSchedule
+from repro.core.schedules import FixedPeriodSchedule, PruningSchedule
 from repro.core.result import PruningTrace, SearchResult
 from repro.engine.cost import CostAccount
 from repro.errors import QueryError

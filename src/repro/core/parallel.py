@@ -43,7 +43,7 @@ import numpy as np
 from repro.core.bond import BondSearcher
 from repro.core.compressed import CompressedBondSearcher
 from repro.core.ordering import DimensionOrdering
-from repro.core.planner import PruningSchedule
+from repro.core.schedules import PruningSchedule
 from repro.core.result import BatchSearchResult, PruningTrace, SearchResult
 from repro.core.rounds import query_matrix
 from repro.engine.cost import CostAccount, CostModel
@@ -59,6 +59,52 @@ from repro.storage.sharding import ShardPlan, shard_compressed, shard_decomposed
 #: ThreadPoolExecutor in-process; ``"process"`` runs each shard's search in a
 #: worker process over shared-memory fragments (see :mod:`repro.cluster`).
 SHARD_EXECUTORS = ("thread", "process")
+
+#: Recognised part-loss policies of a scatter-gather search (the sharded
+#: engines' ``on_shard_failure``, the cluster coordinator's
+#: ``on_group_failure``): ``"fail"`` raises a failed part's error,
+#: ``"partial"`` merges the surviving parts into a degraded answer.
+FAILURE_POLICIES = ("fail", "partial")
+
+
+def check_failure_policy(policy: str, parameter: str) -> None:
+    """Raise a :class:`~repro.errors.QueryError` naming ``parameter`` unless
+    ``policy`` is one of :data:`FAILURE_POLICIES`."""
+    if policy not in FAILURE_POLICIES:
+        raise QueryError(f"{parameter} must be one of {FAILURE_POLICIES}, got {policy!r}")
+
+
+def gather_surviving(
+    outcomes: Sequence[object],
+    policy: str,
+    merge: Callable[[list[tuple[int, object]]], list[SearchResult]],
+) -> list[SearchResult]:
+    """Apply the part-loss ``policy`` to one scatter's per-part outcomes.
+
+    ``outcomes[i]`` is part ``i``'s payload, or the exception it raised.
+    Under ``"fail"``, or when no part survived (there is nothing to degrade
+    to), the lowest-indexed part's exception is re-raised unchanged, so its
+    type reaches the retry and failover layers above.  Otherwise ``merge``
+    turns the surviving ``[(part, payload)]`` into results, and when any
+    part failed every result is flagged ``degraded`` with the failed part
+    indices in ``failed_shards``.
+    """
+    survivors = []
+    failures = []
+    for part, outcome in enumerate(outcomes):
+        if isinstance(outcome, BaseException):
+            failures.append((part, outcome))
+        else:
+            survivors.append((part, outcome))
+    if failures and (policy == "fail" or not survivors):
+        raise failures[0][1]
+    merged = merge(survivors)
+    if failures:
+        failed = tuple(part for part, _ in failures)
+        for result in merged:
+            result.degraded = True
+            result.failed_shards = failed
+    return merged
 
 
 def shard_batch(searcher, queries: np.ndarray, k: int) -> tuple[list[SearchResult], CostAccount]:
@@ -207,9 +253,6 @@ class _ShardedEngineBase:
     compressed engines cannot drift apart.
     """
 
-    #: Recognised shard-failure policies (see ``on_shard_failure``).
-    SHARD_FAILURE_MODES = ("fail", "partial")
-
     def __init__(
         self,
         store,
@@ -223,11 +266,7 @@ class _ShardedEngineBase:
         plan = shards if isinstance(shards, ShardPlan) else ShardPlan.balanced(
             store.cardinality, int(shards)
         )
-        if on_shard_failure not in self.SHARD_FAILURE_MODES:
-            raise QueryError(
-                f"on_shard_failure must be one of {self.SHARD_FAILURE_MODES}, "
-                f"got {on_shard_failure!r}"
-            )
+        check_failure_policy(on_shard_failure, "on_shard_failure")
         if executor not in SHARD_EXECUTORS:
             raise QueryError(
                 f"executor must be one of {SHARD_EXECUTORS}, got {executor!r}"
@@ -342,35 +381,6 @@ class _ShardedEngineBase:
             )
         return list(self._executor.map(task, range(self._plan.num_shards)))
 
-    def _run_shards_guarded(self, body: Callable[[int], object]) -> tuple[list, list]:
-        """Run ``body`` per shard, splitting outcomes by the failure policy.
-
-        Every shard task passes through the ``shard.map`` fault point and has
-        its exception captured (so one dead shard never aborts the pool map
-        mid-iteration).  Returns ``(successes, failures)`` as
-        ``[(shard, payload)]`` / ``[(shard, error)]`` lists — unless the
-        policy is ``"fail"`` (or *no* shard survived, where there is nothing
-        to degrade to), in which case the lowest-indexed shard's original
-        exception is re-raised, preserving its type for the retry / failover
-        layers above.
-        """
-
-        def guarded(shard: int):
-            try:
-                fault_point("shard.map", shard=shard)
-                return ("ok", body(shard))
-            except Exception as exc:  # split below; never poisons the pool map
-                return ("error", exc)
-
-        outcomes = self._map_shards(guarded)
-        successes: list[tuple[int, object]] = []
-        failures: list[tuple[int, Exception]] = []
-        for shard, (status, payload) in enumerate(outcomes):
-            (successes if status == "ok" else failures).append((shard, payload))
-        if failures and (self._on_shard_failure == "fail" or not successes):
-            raise failures[0][1]
-        return successes, failures
-
     def search(self, query: np.ndarray, k: int, *, trace: PruningTrace | None = None) -> SearchResult:
         """Exact k nearest neighbours, searched shard-parallel and merged: the
         batch of one.  Bitwise identical to the corresponding unsharded
@@ -393,31 +403,35 @@ class _ShardedEngineBase:
         pool = self._ensure_process_pool() if self._executor_kind == "process" else None
 
         def run_shard(shard: int):
-            if pool is not None:
-                return pool.search_batch(shard, matrix, k)
-            return shard_batch(self._searchers[shard], matrix, k)
+            # A failed shard's exception becomes its outcome, so one dead
+            # shard never aborts the pool map mid-iteration.
+            try:
+                fault_point("shard.map", shard=shard)
+                if pool is not None:
+                    return pool.search_batch(shard, matrix, k)
+                return shard_batch(self._searchers[shard], matrix, k)
+            except Exception as exc:
+                return exc
 
-        successes, failures = self._run_shards_guarded(run_shard)
-        for _, (_, delta) in successes:
-            parent_cost.merge_account(delta)
-        surviving = [shard for shard, _ in successes]
-        per_shard = [results for _, (results, _) in successes]
-        failed = tuple(shard for shard, _ in failures)
-        merged = [
-            merge_shard_results(
-                self._spec.metric,
-                [shard_results[query_index] for shard_results in per_shard],
-                self._plan,
-                k,
-                cost=parent_cost,
-                shard_indices=surviving,
-            )
-            for query_index in range(matrix.shape[0])
-        ]
-        if failed:
-            for result in merged:
-                result.degraded = True
-                result.failed_shards = failed
+        def merge(survivors: list) -> list[SearchResult]:
+            for _, (_, delta) in survivors:
+                parent_cost.merge_account(delta)
+            surviving = [shard for shard, _ in survivors]
+            return [
+                merge_shard_results(
+                    self._spec.metric,
+                    [results[query_index] for _, (results, _) in survivors],
+                    self._plan,
+                    k,
+                    cost=parent_cost,
+                    shard_indices=surviving,
+                )
+                for query_index in range(matrix.shape[0])
+            ]
+
+        merged = gather_surviving(
+            self._map_shards(run_shard), self._on_shard_failure, merge
+        )
         return BatchSearchResult(
             results=merged,
             cost=parent_cost.since(checkpoint),

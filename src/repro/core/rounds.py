@@ -56,7 +56,7 @@ from typing import Any, Callable
 import numpy as np
 
 from repro.bounds.base import OrderStatistics
-from repro.core.planner import PruningSchedule
+from repro.core.schedules import PruningSchedule
 from repro.core.result import BatchSearchResult, PruningTrace, SearchResult
 from repro.errors import QueryError
 

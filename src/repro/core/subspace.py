@@ -17,7 +17,7 @@ import numpy as np
 
 from repro.core.bond import BondSearcher
 from repro.core.ordering import DimensionOrdering
-from repro.core.planner import PruningSchedule
+from repro.core.schedules import PruningSchedule
 from repro.core.result import SearchResult
 from repro.bounds.weighted import WeightedEuclideanBound
 from repro.metrics.weighted import WeightedSquaredEuclidean

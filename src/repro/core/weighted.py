@@ -15,7 +15,7 @@ import numpy as np
 from repro.bounds.weighted import WeightedEuclideanBound
 from repro.core.bond import BondSearcher
 from repro.core.ordering import DimensionOrdering
-from repro.core.planner import PruningSchedule
+from repro.core.schedules import PruningSchedule
 from repro.core.result import SearchResult
 from repro.metrics.weighted import WeightedSquaredEuclidean
 from repro.storage.decomposed import DecomposedStore

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from repro.bounds.histogram import HqBound
 from repro.core.bond import BondSearcher
-from repro.core.planner import FixedPeriodSchedule, GeometricSchedule
+from repro.core.schedules import FixedPeriodSchedule, GeometricSchedule
 from repro.experiments.base import ExperimentReport, ExperimentScale, resolve_scale
 from repro.experiments.workloads import corel_setup
 from repro.metrics.histogram import HistogramIntersection

@@ -10,7 +10,7 @@ decreasing-q ordering hit the discriminative dimensions early.
 from __future__ import annotations
 
 from repro.bounds.euclidean import EvBound
-from repro.core.planner import FixedPeriodSchedule
+from repro.core.schedules import FixedPeriodSchedule
 from repro.experiments.base import ExperimentReport, ExperimentScale, resolve_scale
 from repro.experiments.pruning_runner import collect_pruning_curves, report_grid_points
 from repro.experiments.workloads import clustered_setup

@@ -11,7 +11,7 @@ feedback, user-specified importance).
 from __future__ import annotations
 
 from repro.bounds.weighted import WeightedEuclideanBound
-from repro.core.planner import FixedPeriodSchedule
+from repro.core.schedules import FixedPeriodSchedule
 from repro.datasets.weights import weight_skew_sweep
 from repro.experiments.base import ExperimentReport, ExperimentScale, resolve_scale
 from repro.experiments.pruning_runner import collect_pruning_curves, report_grid_points

@@ -11,7 +11,7 @@ the ``remaining_sum_cap=1.0`` option reproduces that refinement.
 from __future__ import annotations
 
 from repro.bounds.euclidean import EqBound, EvBound
-from repro.core.planner import FixedPeriodSchedule
+from repro.core.schedules import FixedPeriodSchedule
 from repro.experiments.base import ExperimentReport, ExperimentScale, resolve_scale
 from repro.experiments.pruning_runner import collect_pruning_curves, report_grid_points
 from repro.experiments.workloads import corel_setup

@@ -11,7 +11,7 @@ rule reproduces.
 from __future__ import annotations
 
 from repro.bounds.histogram import HqBound
-from repro.core.planner import FixedPeriodSchedule
+from repro.core.schedules import FixedPeriodSchedule
 from repro.experiments.base import ExperimentReport, ExperimentScale, resolve_scale
 from repro.experiments.pruning_runner import collect_pruning_curves, report_grid_points
 from repro.experiments.workloads import corel_setup

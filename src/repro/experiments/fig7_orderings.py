@@ -15,7 +15,7 @@ from repro.core.ordering import (
     IncreasingQueryOrdering,
     RandomOrdering,
 )
-from repro.core.planner import FixedPeriodSchedule
+from repro.core.schedules import FixedPeriodSchedule
 from repro.experiments.base import ExperimentReport, ExperimentScale, resolve_scale
 from repro.experiments.pruning_runner import collect_pruning_curves, report_grid_points
 from repro.experiments.workloads import corel_setup

@@ -12,7 +12,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.bounds.euclidean import EvBound
-from repro.core.planner import FixedPeriodSchedule, recommend_period
+from repro.core.schedules import FixedPeriodSchedule, recommend_period
 from repro.datasets.corel import PAPER_DIMENSIONALITIES
 from repro.experiments.base import ExperimentReport, ExperimentScale, resolve_scale
 from repro.experiments.pruning_runner import collect_pruning_curves

@@ -12,7 +12,7 @@ from __future__ import annotations
 from repro.bounds.histogram import HqBound
 from repro.core.bond import BondSearcher
 from repro.core.compressed import CompressedBondSearcher
-from repro.core.planner import FixedPeriodSchedule
+from repro.core.schedules import FixedPeriodSchedule
 from repro.experiments.base import ExperimentReport, ExperimentScale, resolve_scale
 from repro.experiments.pruning_runner import report_grid_points
 from repro.experiments.workloads import corel_setup

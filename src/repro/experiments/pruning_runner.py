@@ -5,7 +5,7 @@ from __future__ import annotations
 from repro.bounds.base import PruningBound
 from repro.core.bond import BondSearcher
 from repro.core.ordering import DimensionOrdering
-from repro.core.planner import PruningSchedule
+from repro.core.schedules import PruningSchedule
 from repro.instrumentation.pruning import PruningCurveCollector
 from repro.metrics.base import Metric
 from repro.storage.decomposed import DecomposedStore

@@ -8,7 +8,8 @@ Two halves:
   ``executor.dispatch``) with replayable error / delay / hang schedules;
 * :mod:`repro.reliability.retry` — :class:`RetryPolicy`,
   :class:`RetryBudget` and per-backend :class:`CircuitBreaker` primitives
-  the serving layer composes around execution.
+  the serving layer composes around execution, and :func:`walk_failover`,
+  the failover walk ``Index.answer`` and the serving layer share.
 
 The contract the whole layer upholds (pinned by ``tests/test_reliability.py``
 and the ``--chaos`` benchmark axis): under any seeded fault schedule, every
@@ -32,6 +33,7 @@ from repro.reliability.retry import (
     CircuitBreaker,
     RetryBudget,
     RetryPolicy,
+    walk_failover,
 )
 
 __all__ = [
@@ -47,4 +49,5 @@ __all__ = [
     "FaultSpec",
     "RetryBudget",
     "RetryPolicy",
+    "walk_failover",
 ]

@@ -10,7 +10,10 @@ query execution:
   healthy traffic;
 * :class:`CircuitBreaker` — per-backend failure tracking with the classic
   closed / open / half-open protocol, so a consistently failing backend is
-  skipped by the failover chain until a cooldown probe succeeds.
+  skipped by the failover chain until a cooldown probe succeeds;
+* :func:`walk_failover` — the one walk down a plan's failover chain, shared
+  by ``Index.answer`` (no breakers) and the serving layer (one breaker per
+  backend).
 
 Everything is synchronous and lock-guarded: the serving layer calls these
 from both the event loop and its worker threads.
@@ -21,8 +24,16 @@ from __future__ import annotations
 import threading
 import time
 from dataclasses import dataclass
+from typing import Callable, Sequence, TypeVar
 
-from repro.errors import ServingError
+from repro.errors import (
+    BackendError,
+    FailoverExhausted,
+    ServingError,
+    TransientBackendError,
+)
+
+T = TypeVar("T")
 
 #: Breaker states.
 BREAKER_CLOSED = "closed"
@@ -197,3 +208,64 @@ class CircuitBreaker:
                 total_successes=self._total_successes,
                 seconds_until_probe=until_probe,
             )
+
+
+def walk_failover(
+    chain: Sequence[str],
+    attempt: Callable[[str], T],
+    *,
+    breaker: Callable[[str], CircuitBreaker] | None = None,
+) -> tuple[T, str]:
+    """Run ``attempt(name)`` down ``chain`` until one backend answers.
+
+    Returns ``(result, name)`` of the first backend that answers; only a
+    :class:`~repro.errors.BackendError` moves the walk on, anything else
+    propagates at once.  ``chain`` starts with the planned backend (see
+    :meth:`~repro.api.planner.Plan.failover_chain`).
+
+    With ``breaker`` (backend name -> :class:`CircuitBreaker`), a backend
+    whose breaker refuses is skipped, and every attempt's outcome feeds its
+    breaker.  When every breaker on the chain refuses, the planned backend
+    is probed anyway: failing fast forever would never rediscover a
+    recovered backend.
+
+    On exhaustion the first :class:`~repro.errors.TransientBackendError` is
+    raised, so a caller can retry the whole walk after backoff; otherwise
+    the only error of a one-attempt walk is re-raised unchanged; otherwise
+    :class:`~repro.errors.FailoverExhausted` carries every attempt.
+    """
+    attempts: list[tuple[str, BackendError]] = []
+
+    def run(name: str, gate: CircuitBreaker | None) -> tuple[T, str] | None:
+        try:
+            result = attempt(name)
+        except BackendError as exc:
+            attempts.append((name, exc))
+            if gate is not None:
+                gate.record_failure()
+            return None
+        if gate is not None:
+            gate.record_success()
+        return result, name
+
+    for name in chain:
+        gate = None if breaker is None else breaker(name)
+        if gate is None or gate.allow():
+            answered = run(name, gate)
+            if answered is not None:
+                return answered
+    if not attempts:
+        # Every breaker on the chain refused: probe the planned backend.
+        answered = run(chain[0], None if breaker is None else breaker(chain[0]))
+        if answered is not None:
+            return answered
+    for _, error in attempts:
+        if isinstance(error, TransientBackendError):
+            raise error
+    if len(attempts) == 1:
+        raise attempts[0][1]
+    summary = "; ".join(f"{name}: {error}" for name, error in attempts)
+    raise FailoverExhausted(
+        f"all {len(attempts)} backends of the failover chain failed ({summary})",
+        attempts=attempts,
+    )

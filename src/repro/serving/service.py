@@ -31,11 +31,12 @@ Because every backend is exact, a retried or failed-over answer is bitwise
 identical to the first-try answer — the only caller-visible outcomes are the
 right answer or a typed error.
 
-The service keeps answering while the index mutates: execution goes through
-``Index.execute``, which pins one epoch per batch and overlays the live
-delta tail on whichever backend answers — so a batch that runs concurrently
-with ``insert``/``delete``/``reorganize()`` sees one consistent snapshot and
-returns exactly what ``Index.answer`` would have at that instant.
+The service keeps answering while the index mutates: each batch plans and
+runs every failover attempt under one ``Index.pin()``, and
+``Index.execute`` overlays the live delta tail on whichever backend answers
+— so a batch that runs concurrently with ``insert``/``delete``/
+``reorganize()`` sees one consistent snapshot and returns exactly what
+``Index.answer`` would have at that instant.
 
 Typical usage::
 
@@ -64,9 +65,7 @@ import numpy as np
 from repro.api.query import Query
 from repro.core.result import BatchSearchResult, SearchResult
 from repro.errors import (
-    BackendError,
     DeadlineExceeded,
-    FailoverExhausted,
     QueueFull,
     ServiceClosed,
     ServingError,
@@ -74,7 +73,7 @@ from repro.errors import (
 )
 from repro.metrics.base import Metric
 from repro.reliability.faults import fault_point
-from repro.reliability.retry import CircuitBreaker, RetryBudget, RetryPolicy
+from repro.reliability.retry import CircuitBreaker, RetryBudget, RetryPolicy, walk_failover
 from repro.serving.admission import AdmissionPolicy, resolve_admission
 from repro.serving.stats import BatchStats, ServiceHealth, ServingStats, StatsCollector
 
@@ -724,78 +723,34 @@ class SearchService:
         the batch's own charge and the live account is never mutated for
         bookkeeping (see :meth:`repro.engine.cost.CostModel.delta_since`).
 
-        Execution walks the plan's failover chain (planned backend first,
-        when ``config.failover`` is on), skipping backends whose circuit
-        breaker is open; each backend's outcome feeds its breaker.  If the
-        whole chain fails and any failure was transient, the *transient*
-        error is raised so the async retry layer re-runs the chain after
-        backoff; a purely persistent exhaustion raises
-        :class:`~repro.errors.FailoverExhausted` (single-entry chains
-        re-raise the original error unchanged).  The last element of the
-        returned tuple flags whether a non-planned backend answered.
+        Planning and every attempt run under one epoch pin.  Execution is
+        :func:`~repro.reliability.retry.walk_failover` over the plan's
+        failover chain (just the planned backend when ``config.failover`` is
+        off) with one circuit breaker per backend; a transient exhaustion
+        reaches the async retry layer, which re-runs the walk after backoff.
+        Attempts execute through the index (not the raw backend), so the
+        live-update overlay stays in the path and a failover substitute
+        answers over the same pinned epoch and delta tail as the planned
+        backend.  The last element of the returned tuple flags whether a
+        non-planned backend answered.
         """
         fault_point("executor.dispatch")
         before = self._index.cost.snapshot()
-        plan = self._index.plan(batch_query)
-        chain = plan.failover_chain() if self._config.failover else (plan.backend_name,)
-        started = time.perf_counter()
-        attempts: list[tuple[str, BackendError]] = []
-        transient: TransientBackendError | None = None
-
-        def try_backend(name: str) -> BatchSearchResult | None:
-            # Executing through the index (not the raw backend) keeps the
-            # live-update overlay in the path: a failover substitute answers
-            # over the same pinned epoch + delta tail the planned backend
-            # would have, so served answers stay bitwise identical to
-            # Index.answer even while updates stream in.
-            nonlocal transient
-            breaker = self._breaker(name)
-            try:
-                result = self._index.execute(batch_query, backend=name, plan=plan)
-            except BackendError as exc:
-                breaker.record_failure()
-                attempts.append((name, exc))
-                if transient is None and isinstance(exc, TransientBackendError):
-                    transient = exc
-                return None
-            breaker.record_success()
-            return result
-
-        tried = 0
-        for name in chain:
-            if not self._breaker(name).allow():
-                continue
-            tried += 1
-            result = try_backend(name)
-            if result is not None:
-                return (
-                    result,
-                    self._index.cost.delta_since(before),
-                    time.perf_counter() - started,
-                    name,
-                    name != plan.backend_name,
-                )
-        if tried == 0:
-            # Every breaker in the chain is open: failing fast forever would
-            # never rediscover a recovered backend, so force one probe
-            # through the planned backend.
-            result = try_backend(plan.backend_name)
-            if result is not None:
-                return (
-                    result,
-                    self._index.cost.delta_since(before),
-                    time.perf_counter() - started,
-                    plan.backend_name,
-                    False,
-                )
-        if transient is not None:
-            raise transient
-        if len(attempts) == 1:
-            raise attempts[0][1]
-        summary = "; ".join(f"{name}: {error}" for name, error in attempts)
-        raise FailoverExhausted(
-            f"all {len(attempts)} backends of the failover chain failed ({summary})",
-            attempts=attempts,
+        with self._index.pin():
+            plan = self._index.plan(batch_query)
+            chain = plan.failover_chain() if self._config.failover else (plan.backend_name,)
+            started = time.perf_counter()
+            result, backend = walk_failover(
+                chain,
+                lambda name: self._index.execute(batch_query, backend=name, plan=plan),
+                breaker=self._breaker,
+            )
+        return (
+            result,
+            self._index.cost.delta_since(before),
+            time.perf_counter() - started,
+            backend,
+            backend != plan.backend_name,
         )
 
     @staticmethod

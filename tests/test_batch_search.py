@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 
 from repro.core import rounds
 from repro.core.bond import BondSearcher
-from repro.core.planner import FixedPeriodSchedule, GeometricSchedule
+from repro.core.schedules import FixedPeriodSchedule, GeometricSchedule
 from repro.core.result import BatchSearchResult
 from repro.core.sequential import SequentialScan
 from repro.errors import QueryError

@@ -18,7 +18,7 @@ from repro.bounds.euclidean import EqBound, EvBound
 from repro.bounds.histogram import HhBound, HqBound
 from repro.bounds.weighted import WeightedEuclideanBound
 from repro.core.bond import BondSearcher
-from repro.core.planner import FixedPeriodSchedule
+from repro.core.schedules import FixedPeriodSchedule
 from repro.metrics.euclidean import SquaredEuclidean
 from repro.metrics.histogram import HistogramIntersection
 from repro.metrics.weighted import WeightedSquaredEuclidean

@@ -9,7 +9,7 @@ from repro.bounds.euclidean import EqBound, EvBound
 from repro.bounds.histogram import HhBound, HqBound
 from repro.core.bond import BondSearcher, default_bound_for
 from repro.core.ordering import IncreasingQueryOrdering, RandomOrdering
-from repro.core.planner import FixedPeriodSchedule, GeometricSchedule
+from repro.core.schedules import FixedPeriodSchedule, GeometricSchedule
 from repro.core.sequential import SequentialScan
 from repro.errors import QueryError
 from repro.metrics.euclidean import EuclideanSimilarity, SquaredEuclidean

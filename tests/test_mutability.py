@@ -510,6 +510,34 @@ class TestCrashConsistency:
         assert not (home / "dim_00000.col").exists()
         assert (home / "dim_00000.g00000001.col").exists()
 
+    def test_reorganize_keeps_build_options(self, tmp_path, base, rng):
+        home = tmp_path / "store"
+        index = Index.build(
+            base,
+            name="options",
+            bits=6,
+            shards=2,
+            on_shard_failure="partial",
+            shard_executor="process",
+            format="float32/ram",
+            approx={"m": 12},
+        )
+        index.save(home)
+        index.insert(hist(rng, 3))
+        assert index.reorganize() == 1
+        index.close()
+        reopened = Index.open(home)
+        assert reopened.generation == 1
+        assert reopened.cardinality == len(base) + 3
+        assert reopened.compressed.bits == 6
+        assert reopened.shards == 2
+        assert reopened.shard_plan.num_shards == 2
+        assert reopened.on_shard_failure == "partial"
+        assert reopened.shard_executor == "process"
+        assert reopened.format.spec == "float32/ram"
+        assert reopened.approx_config.m == 12
+        reopened.close()
+
     def test_read_fragment_fault_then_clean_reopen(self, tmp_path, base, rng):
         index, home, shadow = make_attached(tmp_path, base, rng)
         plan = FaultPlan(seed=5).arm(

@@ -12,7 +12,7 @@ from repro.core.ordering import (
     OriginalOrdering,
     RandomOrdering,
 )
-from repro.core.planner import FixedPeriodSchedule, GeometricSchedule, recommend_period
+from repro.core.schedules import FixedPeriodSchedule, GeometricSchedule, recommend_period
 from repro.errors import QueryError
 
 

@@ -70,6 +70,25 @@ def results_equivalent(a, b) -> bool:
     )
 
 
+def arm_mixed_exhaustion(plan: FaultPlan, chain) -> FaultPlan:
+    """Fail every backend of ``chain``: the planned one persistently, the
+    second transiently, any others persistently again."""
+    for position, name in enumerate(chain):
+        error = TransientBackendError if position == 1 else BackendError
+        plan.arm("backend.answer", where={"backend": name}, error=error)
+    return plan
+
+
+def reached_backends(plan: FaultPlan, spec_index: int) -> list[str]:
+    """Backends whose ``backend.answer`` point the given always-firing
+    spec saw, in order (the walk's attempts)."""
+    return [
+        dict(event.context)["backend"]
+        for event in plan.events
+        if event.spec_index == spec_index
+    ]
+
+
 @pytest.fixture(scope="module")
 def vectors() -> np.ndarray:
     rng = np.random.default_rng(4242)
@@ -368,6 +387,49 @@ class TestIndexFailover:
         assert [name for name, _ in info.value.attempts] == list(chain)
 
 
+    def test_exhausted_chain_raises_transient_before_persistent(self, vectors):
+        index = Index.build(vectors)
+        query = Query(vectors[0], k=5, metric="histogram")
+        chain = index.plan(query).failover_chain()
+        assert len(chain) >= 2
+        with arm_mixed_exhaustion(FaultPlan(seed=1), chain):
+            # The planned backend failed persistently first; the transient
+            # failure of the second still decides: a caller may retry.
+            with pytest.raises(TransientBackendError, match="spec 1"):
+                index.answer(query, failover=True)
+
+    def test_direct_and_served_failover_pick_the_same_substitute(self, vectors):
+        index = Index.build(vectors)
+        query = Query(vectors[0], k=5, metric="histogram")
+        chain = index.plan(query).failover_chain()
+
+        def faults() -> FaultPlan:
+            # Spec 0 fails the planned backend; spec 1 (a zero delay that
+            # fires on every hit) records which backends the walk reached.
+            return (
+                FaultPlan(seed=1)
+                .arm("backend.answer", where={"backend": chain[0]}, error=BackendError)
+                .arm("backend.answer", kind="delay", delay=0.0)
+            )
+
+        with faults() as direct_plan:
+            direct = index.answer(query, failover=True)
+
+        async def main():
+            config = ServingConfig(latency_budget=0.0)
+            async with SearchService(index, config=config) as service:
+                result = await service.submit(vectors[0], k=5, metric="histogram")
+                return result, service.stats()
+
+        with faults() as served_plan:
+            served, stats = run(main())
+        substitute = chain[1]
+        assert reached_backends(direct_plan, 1) == [repr(chain[0]), repr(substitute)]
+        assert reached_backends(served_plan, 1) == [repr(chain[0]), repr(substitute)]
+        assert stats.recent_batches[-1].backend == substitute
+        assert results_identical(direct, served)
+
+
 # ---------------------------------------------------------------------------
 # Retry primitives
 # ---------------------------------------------------------------------------
@@ -511,6 +573,49 @@ class TestServingReliability:
         assert states[planned].state == "open"
         assert stats.completed == 3  # every request still answered via failover
         assert health.as_dict()["breakers"][planned]["state"] == "open"
+
+    def test_every_breaker_open_still_probes_planned_backend(self, vectors):
+        index = Index.build(vectors)
+        query = Query(vectors[0], k=5, metric="histogram")
+        chain = index.plan(query).failover_chain()
+        assert len(chain) >= 2
+        reference = index.answer(query)
+
+        async def main():
+            config = ServingConfig(
+                latency_budget=0.0, breaker_threshold=1, breaker_cooldown=60.0
+            )
+            async with SearchService(index, config=config) as service:
+                with FaultPlan(seed=1).arm("backend.answer", error=BackendError):
+                    with pytest.raises(FailoverExhausted):
+                        await service.submit(vectors[0], k=5, metric="histogram")
+                tripped = service.health()
+                # Every breaker refuses now; the walk probes the planned
+                # backend anyway, which answers and closes its breaker.
+                result = await service.submit(vectors[0], k=5, metric="histogram")
+                return tripped, result, service.health(), service.stats()
+
+        tripped, result, health, stats = run(main())
+        assert sorted(tripped.open_breakers) == sorted(chain)
+        assert results_identical(result, reference)
+        assert stats.recent_batches[-1].backend == chain[0]
+        assert sorted(health.open_breakers) == sorted(chain[1:])
+
+    def test_exhausted_chain_hands_transient_error_to_caller(self, vectors):
+        index = Index.build(vectors)
+        chain = index.plan(Query(vectors[0], k=5, metric="histogram")).failover_chain()
+        assert len(chain) >= 2
+
+        async def main():
+            config = ServingConfig(latency_budget=0.0, max_retries=0)
+            async with SearchService(index, config=config) as service:
+                with pytest.raises(TransientBackendError, match="spec 1"):
+                    await service.submit(vectors[0], k=5, metric="histogram")
+                return service.stats()
+
+        with arm_mixed_exhaustion(FaultPlan(seed=1), chain):
+            stats = run(main())
+        assert stats.failed == 1 and stats.retries == 0
 
     def test_deadline_expires_in_queue(self, vectors):
         index = Index.build(vectors)

@@ -20,7 +20,7 @@ from repro.core.parallel import (
     ShardedCompressedBondSearcher,
     merge_traces,
 )
-from repro.core.planner import FixedPeriodSchedule
+from repro.core.schedules import FixedPeriodSchedule
 from repro.core.result import PruningTrace
 from repro.engine.cost import CostAccount, CostModel
 from repro.errors import StorageError
