@@ -15,7 +15,8 @@ Times k-NN search over the default Corel-like synthetic dataset (the paper's
 * ``facade_batched`` — the same batch through ``Index.answer(Query(...))``,
   measuring what the declarative facade (metric resolution + planning +
   dispatch) adds on top of the direct call; the acceptance bar is < 2%
-  overhead with bitwise-identical results.
+  median overhead (over interleaved paired rounds, reported with its IQR)
+  with bitwise-identical results.
 
 The ``sharded`` axis measures the parallel shard layer of
 :mod:`repro.core.parallel`: for each worker count (shards == workers), the
@@ -165,6 +166,29 @@ def _time_per_query(run, num_queries: int, repeats: int) -> float:
         run()
         best = min(best, time.perf_counter() - started)
     return best / num_queries
+
+
+def _paired_overhead_pct(direct, candidate, rounds: int) -> tuple[float, float]:
+    """Median and IQR (in percentage points) of ``candidate``'s overhead over
+    ``direct`` across interleaved paired rounds.
+
+    Each round times both callables back to back, alternating which runs
+    first, so scheduler drift on a busy box lands on both sides of a pair
+    and cancels in its ratio instead of deciding a best-of-N race.
+    """
+    direct()  # warm-up: page in data, populate caches, size scratch buffers
+    candidate()
+    overheads = []
+    for round_index in range(rounds):
+        pair = (direct, candidate) if round_index % 2 == 0 else (candidate, direct)
+        seconds = {}
+        for run in pair:
+            started = time.perf_counter()
+            run()
+            seconds[run] = time.perf_counter() - started
+        overheads.append(100.0 * (seconds[candidate] / seconds[direct] - 1.0))
+    q1, median, q3 = np.percentile(overheads, [25, 50, 75])
+    return float(median), float(q3 - q1)
 
 
 def _first_divergence(reference, candidate) -> str | None:
@@ -1460,12 +1484,18 @@ def run_benchmark(
         )
 
     batched_speedup = engines["batched"]["speedup_vs_seed"]
-    facade_overhead_pct = 100.0 * (
-        timings["facade_batched"] / timings["batched"] - 1.0
+    # The overhead is a few percent of the batch time, below the best-of-N
+    # noise of two separate timings, so it comes from paired rounds.
+    facade_rounds = 5 * repeats
+    facade_overhead_pct, facade_overhead_iqr = _paired_overhead_pct(
+        lambda: fused_searcher.search_batch(queries, k),
+        lambda: index.answer(facade_query),
+        facade_rounds,
     )
     print(
         f"\n  facade overhead vs direct BondSearcher.search_batch: "
-        f"{facade_overhead_pct:+.2f}% (target < 2%)"
+        f"{facade_overhead_pct:+.2f}% median, IQR {facade_overhead_iqr:.2f} pts over "
+        f"{facade_rounds} paired rounds (target < 2%)"
     )
     compressed_metric = HistogramIntersection()
     compressed_reference = [exact_top_k(data, query, k, compressed_metric) for query in queries]
@@ -1601,6 +1631,8 @@ def run_benchmark(
         "facade": {
             "backend": "bond",
             "overhead_vs_direct_batched_pct": facade_overhead_pct,
+            "overhead_iqr_pct": facade_overhead_iqr,
+            "paired_rounds": facade_rounds,
             "meets_2pct_overhead_target": bool(facade_overhead_pct < 2.0),
             "identical_topk_vs_seed": identical["facade_batched"],
         },
@@ -1772,8 +1804,9 @@ def main(argv: list[str] | None = None) -> int:
     facade = report["facade"]
     print(
         f"facade overhead vs direct batched search: "
-        f"{facade['overhead_vs_direct_batched_pct']:+.2f}% "
-        f"(target < 2%: {'met' if facade['meets_2pct_overhead_target'] else 'NOT met'})"
+        f"{facade['overhead_vs_direct_batched_pct']:+.2f}% median "
+        f"(IQR {facade['overhead_iqr_pct']:.2f} pts; "
+        f"target < 2%: {'met' if facade['meets_2pct_overhead_target'] else 'NOT met'})"
     )
     sharded = report["sharded"]
     print(

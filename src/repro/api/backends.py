@@ -482,19 +482,20 @@ class VAFileBackend(Backend):
 
 
 class IVFBackend(Backend):
-    """Clustered pruning: BOND fused kernels over ``nprobe`` k-means partitions.
+    """Clustered pruning: one fused BOND run over ``nprobe`` k-means partitions.
 
     The paper's filter-and-refine idea generalised from dimensions to rows:
-    a seeded k-means :class:`~repro.approx.cluster.ClusterPlan` remaps the
-    collection into contiguous per-cluster stores, and each probed partition
-    runs the unchanged fused BOND engine.  ``exact=False``: the result is
-    exact only when every non-empty partition was probed (the searcher flags
-    that case itself).
+    a seeded k-means :class:`~repro.approx.cluster.ClusterPlan` assigns every
+    row to a cluster, and the members of the probed clusters are the initial
+    candidates of one BOND run over the index's own decomposed store, pruned
+    against one global k-th bound.  ``exact=False``: the result is exact only
+    when every non-empty partition was probed (the searcher flags that case
+    itself).
     """
 
     capabilities = Capabilities(
         backend="ivf",
-        description="seeded k-means clustered pruning, fused BOND per partition",
+        description="seeded k-means clustered pruning, one BOND run over the probed members",
         metrics=frozenset({"squared_euclidean"}),
         modes=frozenset({"approx"}),
         weighted=False,
@@ -526,8 +527,11 @@ class IVFBackend(Backend):
         fraction = nprobe / n_clusters
         reads = _batch_read_factor(query.batch_size, shared=True)
         # Centroid scan (once per batch) + the probed share of the fused
-        # BOND traffic; pruning behaviour inside a partition matches the
-        # unsharded engine's.
+        # BOND traffic.  The probed members are one candidate set pruned
+        # against one global bound: at or below the switch selectivity the
+        # run is positional from the start and reads only their values, and
+        # probing everything is the plain BOND run, so the share scales
+        # BOND's estimate between those ends.
         centroid_bytes = float(n_clusters * d * DOUBLE_BYTES)
         scan_bytes = fraction * BOND_PRUNE_FRACTION * n * d * index.format.coefficient_bytes * reads
         ops = (
@@ -543,6 +547,7 @@ class IVFBackend(Backend):
 
     def create(self, index: "Index", metric: Metric) -> IVFSearcher:
         return IVFSearcher(
+            index.decomposed,
             index.ivf_partitions,
             metric=metric,
             default_nprobe=index.approx_config.default_nprobe,

@@ -66,7 +66,6 @@ from repro.approx import (
     ApproxConfig,
     ClusterPlan,
     HNSWGraph,
-    IVFPartitions,
     build_cluster_plan,
     build_hnsw_graph,
 )
@@ -844,14 +843,14 @@ class Index:
         return epoch.cluster_plan
 
     @property
-    def ivf_partitions(self) -> IVFPartitions:
-        """The permuted store + zero-copy partition slices of the IVF backend."""
-        epoch = self._current_epoch()
-        if epoch.ivf_partitions is None:
-            epoch.ivf_partitions = IVFPartitions(
-                self.decomposed, self.cluster_plan, cost=self._cost, name=self._name
-            )
-        return epoch.ivf_partitions
+    def ivf_partitions(self) -> ClusterPlan:
+        """The IVF backend's partitions: just its :attr:`cluster_plan`.
+
+        IVF probes run one BOND pass over :attr:`decomposed` itself, seeded
+        with the probed clusters' members, so the partitions need no store
+        of their own and building them is building the plan.
+        """
+        return self.cluster_plan
 
     @property
     def hnsw_graph(self) -> HNSWGraph:

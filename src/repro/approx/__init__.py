@@ -4,10 +4,10 @@ Two structures answer ``Query(mode="approx")`` through the planner:
 
 * **IVF clustered pruning** (:mod:`repro.approx.ivf`) — seeded k-means
   partitions the rows (:mod:`repro.approx.cluster`), search scans only the
-  ``nprobe`` partitions whose centroids are nearest to the query.  The
-  paper's filter-and-refine idea generalised from dimensions to rows, built
-  entirely from the existing store machinery (zero-copy row slices, fused
-  BOND per partition, shared cost model).
+  members of the ``nprobe`` clusters whose centroids are nearest to the
+  query.  The paper's filter-and-refine idea generalised from dimensions to
+  rows, built entirely from the existing machinery: the probed members seed
+  one globally pruned fused BOND run over the index's own store.
 * **HNSW graph search** (:mod:`repro.approx.hnsw`) — a hierarchical
   navigable small-world graph whose ``ef_search`` beam width trades recall
   for distance evaluations.
@@ -28,7 +28,7 @@ from repro.approx.hnsw import (
     effective_ef_search,
     node_level,
 )
-from repro.approx.ivf import IVFPartitions, IVFSearcher, effective_nprobe
+from repro.approx.ivf import IVFSearcher, effective_nprobe
 
 __all__ = [
     "ApproxConfig",
@@ -36,7 +36,6 @@ __all__ = [
     "DEFAULT_APPROX_SEED",
     "HNSWGraph",
     "HNSWSearcher",
-    "IVFPartitions",
     "IVFSearcher",
     "build_cluster_plan",
     "build_hnsw_graph",

@@ -2,11 +2,10 @@
 
 The IVF backend generalises the paper's filter-and-refine decomposition from
 *dimensions* to *rows*: instead of pruning whole fragments, it prunes whole
-partitions.  A :class:`ClusterPlan` is the physical layout that makes this
+partitions.  A :class:`ClusterPlan` is the member list that makes this
 cheap — a contiguous member remapping (every cluster's rows adjacent, rows
-within a cluster in ascending OID order) so each partition is one zero-copy
-:meth:`repro.storage.decomposed.DecomposedStore.row_slice` of a permuted
-store, answered by the unmodified fused BOND engine.
+within a cluster in ascending OID order) so each partition's members are one
+slice of it, ready to seed the unmodified fused BOND engine's candidates.
 
 Determinism: the initial centroids are a seeded no-replacement draw of
 distinct rows, Lloyd's runs a *fixed* iteration count (no data-dependent
@@ -54,8 +53,7 @@ class ClusterPlan:
         ``(cardinality,)`` int64 contiguous member remapping: permuted row
         ``i`` holds the vector of original OID ``permutation[i]``; rows are
         grouped by cluster (ascending cluster index) and sorted by ascending
-        OID within each cluster — the property that keeps partition-local
-        tie-breaks identical to the global score-then-OID rule.
+        OID within each cluster.
     offsets:
         ``(n_clusters + 1,)`` int64 partition boundaries: cluster ``c`` owns
         permuted rows ``[offsets[c], offsets[c + 1])``.

@@ -1,23 +1,23 @@
-"""IVF clustered pruning: scan only the ``nprobe`` nearest partitions.
+"""IVF clustered pruning: scan only the members of the ``nprobe`` nearest clusters.
 
 The searcher is deliberately thin: all heavy machinery is reused unchanged.
-The permuted collection is a :class:`~repro.storage.decomposed.DecomposedStore`
-assembled with :meth:`~repro.storage.decomposed.DecomposedStore.from_fragments`
-(so narrow dtypes and memory-mapped residency survive the remapping), every
-partition is a zero-copy
-:meth:`~repro.storage.decomposed.DecomposedStore.row_slice` of it, each
-partition is answered by the stock fused
-:class:`~repro.core.bond.BondSearcher`, all charging flows through the one
-shared :class:`~repro.engine.cost.CostModel`, and the per-partition top-k
-sets merge with the same deterministic score-then-ascending-OID rule as the
-sharded engine (:func:`repro.core.parallel.merge_shard_results`).
+A query ranks the :class:`~repro.approx.cluster.ClusterPlan` centroids,
+gathers the members of its ``nprobe`` nearest clusters in ascending OID
+order, and hands them to the stock fused
+:class:`~repro.core.bond.BondSearcher` as the initial candidates of **one**
+BOND run over the index's own
+:class:`~repro.storage.decomposed.DecomposedStore` — no copy of the
+collection.  Every candidate is pruned against one global k-th bound, the
+run starts positional when the probed share is at or below the engine's
+switch selectivity, and all charging flows through the store's one
+:class:`~repro.engine.cost.CostModel`.
 
-Exactness: probing every non-empty partition *is* the exact search — the
-partitions tile the collection, per-row scores are partition-independent,
-and the merge tie-break equals the global one (cluster members are stored in
-ascending OID order) — so ``nprobe >= n_clusters`` returns the exact tier's
-answer OID for OID and flags ``exact=True``.  Fewer probes trade recall for
-a proportionally smaller scan volume and flag ``exact=False``.
+Exactness: probing every non-empty cluster *is* the exact search — the
+clusters tile the collection, so the run is the exact tier's run over every
+live vector — and returns the exact answer OID for OID, flagged
+``exact=True``.  Fewer probes trade recall for a proportionally smaller
+candidate set and flag ``exact=False``; ties still break by ascending OID,
+because the candidates start in ascending OID order.
 """
 
 from __future__ import annotations
@@ -28,9 +28,10 @@ import time
 import numpy as np
 
 from repro.approx.cluster import ClusterPlan
+from repro.core import rounds
 from repro.core.bond import BondSearcher
 from repro.core.result import BatchSearchResult, SearchResult
-from repro.engine.cost import CostModel, DOUBLE_BYTES
+from repro.engine.cost import DOUBLE_BYTES
 from repro.errors import QueryError
 from repro.metrics.base import Metric
 from repro.storage.decomposed import DecomposedStore
@@ -56,116 +57,58 @@ def effective_nprobe(
     return max(1, min(default, n_clusters))
 
 
-class IVFPartitions:
-    """The metric-independent physical side of the IVF backend.
-
-    Owns the cluster plan, the permuted store and the per-partition slices;
-    cached once per :class:`~repro.api.index.Index` and shared by every
-    metric's :class:`IVFSearcher`.
-    """
+class IVFSearcher:
+    """Per-metric IVF search: one BOND run over the probed clusters' members."""
 
     def __init__(
         self,
         store: DecomposedStore,
         plan: ClusterPlan,
         *,
-        cost: CostModel,
-        name: str = "collection",
+        metric: Metric,
+        default_nprobe: int = 4,
     ) -> None:
         if plan.cardinality != store.cardinality:
             raise QueryError(
                 f"cluster plan covers {plan.cardinality} rows, the store holds {store.cardinality}"
             )
         self._plan = plan
-        self._cost = cost
-        permutation = plan.permutation
-        # Permute each fragment tail in the store's own dtype; from_fragments
-        # re-applies the format (a mapped store spills the permuted tails to
-        # a fresh mapping), so formats thread through unchanged.
-        tails = [store.fragment_tail(dim)[permutation] for dim in range(store.dimensionality)]
-        row_sum_tail = np.asarray(store.materialize_row_sums().tail)[permutation]
-        self._permuted = DecomposedStore.from_fragments(
-            tails,
-            format=store.format,
-            cost=cost,
-            name=f"{name}.ivf",
-            row_sum_tail=row_sum_tail,
-        )
-        self._slices: dict[int, DecomposedStore] = {}
-
-    @property
-    def plan(self) -> ClusterPlan:
-        """The cluster plan the partitions realise."""
-        return self._plan
-
-    @property
-    def permuted_store(self) -> DecomposedStore:
-        """The cluster-contiguous remapping of the collection."""
-        return self._permuted
-
-    def partition_store(self, cluster: int) -> DecomposedStore:
-        """The zero-copy slice holding one (non-empty) cluster's rows."""
-        store = self._slices.get(cluster)
-        if store is None:
-            start = int(self._plan.offsets[cluster])
-            stop = int(self._plan.offsets[cluster + 1])
-            store = DecomposedStore.row_slice(self._permuted, start, stop, cost=self._cost)
-            self._slices[cluster] = store
-        return store
-
-
-class IVFSearcher:
-    """Per-metric IVF search over shared :class:`IVFPartitions`."""
-
-    def __init__(
-        self,
-        partitions: IVFPartitions,
-        *,
-        metric: Metric,
-        default_nprobe: int = 4,
-    ) -> None:
-        self._partitions = partitions
-        self._plan = partitions.plan
-        self._metric = metric
+        self._searcher = BondSearcher(store, metric=metric)
         self._default_nprobe = default_nprobe
-        self._searchers: dict[int, BondSearcher] = {}
-        self._cost = partitions._cost
 
     @property
     def plan(self) -> ClusterPlan:
         """The cluster plan driving partition selection."""
         return self._plan
 
-    def _partition_searcher(self, cluster: int) -> BondSearcher:
-        searcher = self._searchers.get(cluster)
-        if searcher is None:
-            searcher = BondSearcher(self._partitions.partition_store(cluster), metric=self._metric)
-            self._searchers[cluster] = searcher
-        return searcher
+    @property
+    def store(self) -> DecomposedStore:
+        """The decomposed store the BOND run scans (the index's own)."""
+        return self._searcher.store
 
-    def _resolve_nprobe(self, nprobe: int | None, target_recall: float | None) -> int:
-        return effective_nprobe(
-            nprobe,
-            target_recall,
-            n_clusters=self._plan.n_clusters,
-            default=self._default_nprobe,
-        )
+    def _candidates(self, query: np.ndarray, probes: int) -> tuple[np.ndarray | None, bool]:
+        """The run's initial candidates and whether the probe is exhaustive.
 
-    def _charge_centroid_scan(self, batch_size: int) -> None:
+        The members of the ``probes`` nearest non-empty clusters, ascending;
+        ``None`` (every live vector) when every non-empty cluster is probed.
+        """
+        order = self._plan.probe_order(query)
+        if probes >= len(order):
+            return None, True
+        members = np.concatenate([self._plan.members(int(cluster)) for cluster in order[:probes]])
+        members.sort()
+        return members, False
+
+    def _probe_count(self, batch_size: int, nprobe: int | None, target_recall: float | None) -> int:
+        """Resolve a batch's probe count and charge the centroid scan that
+        ranks the clusters for it."""
         plan = self._plan
-        self._cost.charge_block_scan(plan.n_clusters, plan.dimensionality, DOUBLE_BYTES)
-        self._cost.charge_arithmetic(2 * plan.n_clusters * plan.dimensionality * batch_size)
-
-    def _merge(self, parts: list[tuple[np.ndarray, np.ndarray]], k: int) -> tuple[np.ndarray, np.ndarray]:
-        """Deterministic score-then-ascending-OID merge of partition top-k sets."""
-        oids = np.concatenate([part[0] for part in parts])
-        scores = np.concatenate([part[1] for part in parts])
-        by_oid = np.argsort(oids, kind="stable")
-        oids = oids[by_oid]
-        scores = scores[by_oid]
-        best = self._metric.best_first(scores)[:k]
-        self._cost.charge_comparisons(len(oids))
-        return oids[best], scores[best]
+        cost = self.store.cost
+        cost.charge_block_scan(plan.n_clusters, plan.dimensionality, DOUBLE_BYTES)
+        cost.charge_arithmetic(2 * plan.n_clusters * plan.dimensionality * batch_size)
+        return effective_nprobe(
+            nprobe, target_recall, n_clusters=plan.n_clusters, default=self._default_nprobe
+        )
 
     def search(
         self,
@@ -176,34 +119,15 @@ class IVFSearcher:
         target_recall: float | None = None,
         trace=None,
     ) -> SearchResult:
-        """Top-k over the ``nprobe`` partitions nearest to ``query``."""
+        """Top-k over the members of the ``nprobe`` clusters nearest to ``query``."""
         started = time.perf_counter()
-        snapshot = self._cost.snapshot()
-        probes = self._resolve_nprobe(nprobe, target_recall)
-        self._charge_centroid_scan(1)
-        order = self._plan.probe_order(np.asarray(query, dtype=np.float64))
-        probed = order[:probes]
-        exact = len(probed) == len(order)
-        parts: list[tuple[np.ndarray, np.ndarray]] = []
-        dimensions_processed = 0
-        full_scan_dimensions = 0
-        for cluster in probed:
-            cluster = int(cluster)
-            start = int(self._plan.offsets[cluster])
-            local = self._partition_searcher(cluster).search(query, k)
-            parts.append((self._plan.permutation[start + local.oids], local.scores))
-            dimensions_processed = max(dimensions_processed, local.dimensions_processed)
-            full_scan_dimensions = max(full_scan_dimensions, local.full_scan_dimensions)
-        oids, scores = self._merge(parts, k)
-        return SearchResult(
-            oids=oids,
-            scores=scores,
-            dimensions_processed=dimensions_processed,
-            full_scan_dimensions=full_scan_dimensions,
-            cost=self._cost.delta_since(snapshot),
-            elapsed_seconds=time.perf_counter() - started,
-            exact=exact,
-        )
+        snapshot = self.store.cost.snapshot()
+        oids, exact = self._candidates(query, self._probe_count(1, nprobe, target_recall))
+        result = rounds.search_one(self._searcher, query, k, trace, oids=oids)
+        result.cost = self.store.cost.delta_since(snapshot)
+        result.elapsed_seconds = time.perf_counter() - started
+        result.exact = exact
+        return result
 
     def search_batch(
         self,
@@ -213,39 +137,17 @@ class IVFSearcher:
         nprobe: int | None = None,
         target_recall: float | None = None,
     ) -> BatchSearchResult:
-        """Batched variant: queries probing the same partition share its scan."""
+        """Batched variant: every query's run shares the rounds' fragment reads."""
         started = time.perf_counter()
-        snapshot = self._cost.snapshot()
-        queries = np.asarray(queries, dtype=np.float64)
-        probes = self._resolve_nprobe(nprobe, target_recall)
-        self._charge_centroid_scan(queries.shape[0])
-        per_query_parts: list[list[tuple[np.ndarray, np.ndarray]]] = [
-            [] for _ in range(queries.shape[0])
-        ]
-        exact = True
-        # Group queries by probed partition so each partition runs one fused
-        # batch over exactly the queries that selected it.
-        by_cluster: dict[int, list[int]] = {}
-        for position in range(queries.shape[0]):
-            order = self._plan.probe_order(queries[position])
-            probed = order[:probes]
-            exact = exact and len(probed) == len(order)
-            for cluster in probed:
-                by_cluster.setdefault(int(cluster), []).append(position)
-        for cluster in sorted(by_cluster):
-            positions = by_cluster[cluster]
-            start = int(self._plan.offsets[cluster])
-            batch = self._partition_searcher(cluster).search_batch(queries[positions], k)
-            for position, local in zip(positions, batch.results):
-                per_query_parts[position].append(
-                    (self._plan.permutation[start + local.oids], local.scores)
-                )
-        results = []
-        for parts in per_query_parts:
-            oids, scores = self._merge(parts, k)
-            results.append(SearchResult(oids=oids, scores=scores, exact=exact))
-        return BatchSearchResult(
-            results=results,
-            cost=self._cost.delta_since(snapshot),
-            elapsed_seconds=time.perf_counter() - started,
+        snapshot = self.store.cost.snapshot()
+        queries = rounds.query_matrix(queries)
+        probes = self._probe_count(queries.shape[0], nprobe, target_recall)
+        subsets = [self._candidates(query, probes) for query in queries]
+        batch = rounds.search_batch(
+            self._searcher, queries, k, subsets=[oids for oids, _ in subsets]
         )
+        for result, (_, exact) in zip(batch.results, subsets):
+            result.exact = exact
+        batch.cost = self.store.cost.delta_since(snapshot)
+        batch.elapsed_seconds = time.perf_counter() - started
+        return batch

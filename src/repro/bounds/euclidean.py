@@ -67,21 +67,19 @@ def lemma1_upper_bound(remaining_query: np.ndarray, remaining_sums: np.ndarray) 
     clipped = np.clip(remaining_sums, 0.0, float(num_remaining))
     filled = np.floor(clipped).astype(np.int64)
     fractional = clipped - filled
-    # Dimensions are 1-based in the paper: l = R - floor(T(v+)) is the index
-    # that receives the fractional mass; the l-1 larger-q dimensions get 0.
-    fractional_position = num_remaining - filled
-
-    bounds = np.empty_like(clipped)
-    all_filled = fractional_position == 0
-    bounds[all_filled] = suffix_1m[0]
-    partial = ~all_filled
-    if np.any(partial):
-        positions = fractional_position[partial]
-        bounds[partial] = (
-            prefix_q2[positions - 1]
-            + (fractional[partial] - query_sorted[positions - 1]) ** 2
-            + suffix_1m[positions]
-        )
+    # Dimensions are 1-based in the paper: l = R - floor(T(v+)) is the
+    # dimension that receives the fractional mass; the l-1 larger-q dimensions
+    # get 0.  ``index`` = l - 1 is its 0-based position, -1 when every
+    # remaining dimension is filled (T(v+) = R).  Every candidate is evaluated
+    # by the partial-fill formula with gathers (index -1 reads valid, unused
+    # entries) and the all-filled ones are overwritten afterwards: no boolean
+    # masks, same operands in the same order.
+    index = (num_remaining - 1) - filled
+    bounds = np.take(prefix_q2, index)
+    deviation = fractional - np.take(query_sorted, index)
+    bounds += deviation**2
+    bounds += np.take(suffix_1m[1:], index)
+    np.copyto(bounds, suffix_1m[0], where=index < 0)
     return bounds
 
 

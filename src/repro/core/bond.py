@@ -225,8 +225,19 @@ class BondSearcher:
 
     # -- round-driver hooks (see repro.core.rounds) -----------------------------
 
-    def _plan(self, query: np.ndarray, k: int, *, trace: PruningTrace | None = None) -> QueryRun:
-        """Validate one query and set up its run: order, candidates, schedule."""
+    def _plan(
+        self,
+        query: np.ndarray,
+        k: int,
+        *,
+        trace: PruningTrace | None = None,
+        oids: np.ndarray | None = None,
+    ) -> QueryRun:
+        """Validate one query and set up its run: order, candidates, schedule.
+
+        ``oids`` (ascending) restricts the initial candidates to a subset of
+        the collection; ``None`` starts from every live vector.
+        """
         query = self._metric.validate_query(query)
         if query.shape[0] != self._store.dimensionality:
             raise QueryError(
@@ -265,6 +276,7 @@ class BondSearcher:
                 track_remaining_sums=self._bound.needs_remaining_value_sums,
                 mode=self._candidate_mode,
                 switch_selectivity=self._switch_selectivity,
+                oids=oids,
             ),
             weights=weights,
             full_order=full_order,

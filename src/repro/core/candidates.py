@@ -54,6 +54,10 @@ class CandidateSet:
         representation for the whole search (the ablation toggle).
     switch_selectivity:
         Candidate fraction below which the auto mode materialises.
+    oids:
+        Ascending OIDs of a candidate subset to start from (deleted vectors
+        are dropped); ``None`` starts from every live vector.  Under the auto
+        policy a subset at or below ``switch_selectivity`` starts positional.
     """
 
     def __init__(
@@ -64,6 +68,7 @@ class CandidateSet:
         track_remaining_sums: bool = False,
         mode: str = "auto",
         switch_selectivity: float = 0.05,
+        oids: np.ndarray | None = None,
     ) -> None:
         if mode not in ("auto", "bitmap", "positional"):
             raise QueryError("candidate mode must be 'auto', 'bitmap' or 'positional'")
@@ -73,7 +78,12 @@ class CandidateSet:
         self._mode_policy = mode
         self._switch_selectivity = switch_selectivity
 
-        if len(store.deleted) == 0:
+        if oids is not None:
+            # A private copy: pruning compacts the buffer in place.
+            initial_oids = np.array(oids, dtype=np.int64)
+            if len(store.deleted):
+                initial_oids = initial_oids[~store.deleted.mask[initial_oids]]
+        elif len(store.deleted) == 0:
             # Virtual dense OIDs: without deletions the live set is 0..n-1.
             initial_oids = np.arange(store.cardinality, dtype=np.int64)
         else:
@@ -95,6 +105,8 @@ class CandidateSet:
             self._remaining_sums_buffer = row_sums[self._oids_buffer].astype(np.float64)
         else:
             self._remaining_sums_buffer = None
+        if oids is not None:
+            self._maybe_switch_mode()
 
     # -- basic accessors -------------------------------------------------------
 

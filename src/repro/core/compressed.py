@@ -308,6 +308,8 @@ class CompressedBondSearcher:
         keep = self._prune_mask(
             run.query, run.order, run.processed, candidates.lower, candidates.upper, run.k, run.weights
         )
+        if keep.all():
+            return
         run.candidates = IntervalCandidates(
             candidates.oids[keep], candidates.lower[keep], candidates.upper[keep]
         )
@@ -363,7 +365,15 @@ class CompressedBondSearcher:
         k: int,
         weights: np.ndarray | None,
     ) -> np.ndarray:
-        """Query-only pruning over interval partial scores."""
+        """Query-only pruning over interval partial scores.
+
+        An attempt that provably prunes nothing skips the k-th-bound
+        selection: kappa lies between the smallest and the largest guaranteed
+        score, so when every optimistic score already clears that extreme
+        every candidate survives (float addition of one constant is
+        monotone, so the extreme of the sums is the sum of the extreme).
+        The charges are those of a full attempt either way.
+        """
         cost = self._store.cost
         count = score_lower.shape[0]
         if count <= k:
@@ -378,6 +388,8 @@ class CompressedBondSearcher:
         # intervals and applies its similarity transform only at refinement).
         if not self._metric.contributions_are_distances:
             remaining_mass = float(remaining_query.sum())
+            if float(score_upper.min()) + remaining_mass >= float(score_lower.max()):
+                return np.ones(count, dtype=bool)        # kappa <= max guaranteed
             guaranteed = score_lower                     # remaining contributes at least 0
             optimistic = score_upper + remaining_mass    # and at most T(q+)
             kappa = float(np.partition(guaranteed, count - k)[count - k])
@@ -394,6 +406,8 @@ class CompressedBondSearcher:
             corner = float(np.sum(edge * edge))
         else:
             corner = float(np.sum(weights[remaining] * (edge * edge)))
+        if float(score_lower.max()) <= float(score_upper.min()) + corner:
+            return np.ones(count, dtype=bool)            # kappa >= min guaranteed
         guaranteed = score_upper + corner                # worst case for the candidate
         optimistic = score_lower                         # best case: remaining contributes 0
         kappa = float(np.partition(guaranteed, k - 1)[k - 1])

@@ -28,7 +28,8 @@ storage is touched:
 The searcher supplies the per-run hooks the driver calls:
 
 ``_plan(query, k, *, trace=None)``
-    validate one query and return its :class:`QueryRun`;
+    validate one query and return its :class:`QueryRun` (the exact searcher
+    also takes ``oids=``, the ascending candidate subset a run starts from);
 ``_shares_reads(run)``
     whether the run streams whole fragments this round;
 ``_full_columns(dimensions)``
@@ -160,17 +161,26 @@ def search_one(
     trace: PruningTrace | None = None,
     *,
     reference: Callable[[QueryRun], None] | None = None,
+    oids: np.ndarray | None = None,
 ) -> SearchResult:
     """One query as a batch of one; ``reference`` (the searcher's
-    per-dimension loop) drives the run instead of the rounds when given."""
+    per-dimension loop) drives the run instead of the rounds when given,
+    ``oids`` restricts the run's initial candidates to a subset."""
     started = time.perf_counter()
-    return _execute(searcher, [searcher._plan(query, k, trace=trace)], started, reference).single()
+    subset = {} if oids is None else {"oids": oids}
+    run = searcher._plan(query, k, trace=trace, **subset)
+    return _execute(searcher, [run], started, reference).single()
 
 
-def search_batch(searcher, queries: np.ndarray, k: int) -> BatchSearchResult:
-    """Every query of the batch through shared rounds, results in order."""
+def search_batch(
+    searcher, queries: np.ndarray, k: int, *, subsets: list[np.ndarray] | None = None
+) -> BatchSearchResult:
+    """Every query of the batch through shared rounds, results in order;
+    ``subsets`` holds each query's initial candidate OIDs."""
     started = time.perf_counter()
-    runs = [searcher._plan(query, k) for query in query_matrix(queries)]
+    matrix = query_matrix(queries)
+    plans = [{}] * len(matrix) if subsets is None else [{"oids": oids} for oids in subsets]
+    runs = [searcher._plan(query, k, **plan) for query, plan in zip(matrix, plans, strict=True)]
     return _execute(searcher, runs, started)
 
 

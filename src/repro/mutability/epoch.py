@@ -58,7 +58,6 @@ class Epoch:
         self.shard_plan = None
         self.cluster_plan = None
         self.hnsw_graph = None
-        self.ivf_partitions = None
         self.approx_records = None  # persisted sidecar records (open path)
         self.approx_dir = None
         #: Searcher cache keyed by (backend name, metric spec); searchers

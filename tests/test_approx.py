@@ -33,6 +33,7 @@ from repro.api import Index, Query
 from repro.api.query import ApproxParams
 from repro.approx import (
     ApproxConfig,
+    IVFSearcher,
     build_cluster_plan,
     build_hnsw_graph,
     effective_ef_search,
@@ -44,9 +45,11 @@ from repro.datasets.clustered import (
     make_clustered,
     make_clustered_collection,
 )
+from repro.core.bond import BondSearcher
 from repro.errors import CorruptFragmentError, PlanError, QueryError
 from repro.metrics.euclidean import SquaredEuclidean
 from repro.serving import SearchService
+from repro.storage.decomposed import DecomposedStore
 from repro.storage.persistence import MANIFEST_NAME
 from repro.workload.ground_truth import exact_top_k
 
@@ -266,7 +269,7 @@ class TestExhaustiveEquivalence:
             )
         )
         for a, b in zip(ivf.results, exact.results):
-            # IVF runs the same fused kernels per partition: bitwise identical
+            # probing every cluster is the exact BOND run itself: bitwise identical
             assert results_identical(a, b)
         for a, b in zip(hnsw.results, exact.results):
             # HNSW's exhaustive fallback scores in one vectorised pass, so
@@ -274,6 +277,125 @@ class TestExhaustiveEquivalence:
             # the contract is OID identity with scores within 1e-9
             assert np.array_equal(a.oids, b.oids)
             np.testing.assert_allclose(a.scores, b.scores, atol=1e-9, rtol=0.0)
+
+
+# -- one globally pruned run == the per-cluster algorithm ----------------------------
+
+
+def per_cluster_reference(index, query, k, nprobe):
+    """IVF as separate searches: exact BOND top-k inside each probed cluster
+    (a store of the cluster's rows alone), then the score-then-ascending-OID
+    merge of the per-cluster lists."""
+    plan = index.cluster_plan
+    metric = SquaredEuclidean()
+    oids, scores = [], []
+    for cluster in plan.probe_order(query)[:nprobe]:
+        members = plan.members(int(cluster))
+        store = DecomposedStore(index.vectors[members], format=index.format.dtype)
+        local = BondSearcher(store, metric=metric).search(query, k)
+        oids.append(members[local.oids])
+        scores.append(local.scores)
+    oids, scores = np.concatenate(oids), np.concatenate(scores)
+    by_oid = np.argsort(oids, kind="stable")
+    best = by_oid[metric.best_first(scores[by_oid])[:k]]
+    return oids[best], scores[best]
+
+
+def ivf_query(vectors, k, nprobe, *, batch=False):
+    return Query(
+        vectors,
+        k=k,
+        metric="euclidean",
+        mode="approx",
+        backend="ivf",
+        batch=batch,
+        approx_params={"nprobe": nprobe},
+    )
+
+
+class TestGlobalPruning:
+    @pytest.mark.parametrize("fragment_format", ["float64/ram", "float32/mmap"])
+    @given(
+        matrix=small_matrices(max_rows=240),
+        mirrored=st.booleans(),
+        n_clusters=st.integers(min_value=1, max_value=40),
+        nprobe=st.integers(min_value=1, max_value=40),
+        k=st.integers(min_value=1, max_value=12),
+    )
+    @settings(max_examples=15, deadline=None)
+    def test_single_and_batch_equal_per_cluster_search(
+        self, fragment_format, matrix, mirrored, n_clusters, nprobe, k
+    ):
+        # Up to 40 clusters over <= 240 rows: small probes start positional,
+        # wide ones start in bitmap mode; duplicated rows force score ties.
+        if mirrored:
+            # Rows x and 1 - x on a 1/8 grid sit exactly equally far from the
+            # centre query, and usually in different clusters: ties across
+            # clusters that only the ascending-OID tie-break orders.
+            grid = np.round(matrix * 8.0) / 8.0
+            matrix = np.vstack([grid, 1.0 - grid])
+        with Index.build(
+            matrix, approx={"n_clusters": n_clusters}, format=fragment_format
+        ) as index:
+            centre = np.full(matrix.shape[1], 0.5)
+            queries = np.vstack([index.vectors[[0, -1, len(matrix) // 2]], centre])
+            batch = index.answer(ivf_query(queries, k, nprobe, batch=True))
+            for query, batched in zip(queries, batch.results):
+                oids, scores = per_cluster_reference(index, query, k, nprobe)
+                single = index.answer(ivf_query(query, k, nprobe))
+                for result in (single, batched):
+                    assert np.array_equal(result.oids, oids)
+                    assert np.array_equal(result.scores, scores)
+
+    def test_live_index_equals_rebuilt_index(self, uniform_vectors):
+        rng = np.random.default_rng(11)
+        index = Index.build(uniform_vectors, approx={"n_clusters": 8})
+        inserted = rng.random((6, uniform_vectors.shape[1]))
+        index.insert(inserted)
+        deleted = [2, 40, 41, 599, 601]  # base rows and one tail row
+        index.delete(deleted)
+        logical = np.vstack([uniform_vectors, inserted])
+        alive = np.setdiff1d(np.arange(logical.shape[0]), deleted)
+        rebuilt = Index.build(logical[alive], approx={"n_clusters": 8})
+        queries = np.vstack([uniform_vectors[[5, 40]], inserted[[0]]])
+        live_batch = index.answer(ivf_query(queries, 7, 8, batch=True))
+        rebuilt_batch = rebuilt.answer(ivf_query(queries, 7, 8, batch=True))
+        for position, query in enumerate(queries):
+            live = index.answer(ivf_query(query, 7, 8))
+            reference = rebuilt.answer(ivf_query(query, 7, 8))
+            for got, want in ((live, reference), (live_batch[position], rebuilt_batch[position])):
+                assert got.exact and want.exact
+                # rebuilt OIDs are ranks among the surviving rows
+                assert alive[want.oids].tolist() == got.oids.tolist()
+                # approximate backends score tail rows with a plain scan,
+                # so tail scores match to rounding, base scores bitwise
+                np.testing.assert_allclose(got.scores, want.scores, atol=1e-12, rtol=0.0)
+                base = got.oids < uniform_vectors.shape[0]
+                assert np.array_equal(got.scores[base], want.scores[base])
+
+    def test_store_deletions_never_reach_a_partial_probe(self, clustered_vectors):
+        store = DecomposedStore(clustered_vectors)
+        plan = build_cluster_plan(clustered_vectors, n_clusters=40, iterations=4, seed=3)
+        query = clustered_vectors[7]
+        searcher = IVFSearcher(store, plan, metric=SquaredEuclidean())
+        before = searcher.search(query, 10, nprobe=2)
+        store.delete(before.oids[:3])
+        after = searcher.search(query, 10, nprobe=2)
+        assert not np.isin(after.oids, before.oids[:3]).any()
+        assert not after.exact
+        exhaustive = searcher.search(query, 10, nprobe=40)
+        exact = BondSearcher(store, metric=SquaredEuclidean()).search(query, 10)
+        assert exhaustive.exact
+        assert np.array_equal(exhaustive.oids, exact.oids)
+        assert np.array_equal(exhaustive.scores, exact.scores)
+
+    def test_ivf_searches_the_index_store_itself(self, uniform_vectors):
+        index = Index.build(uniform_vectors, approx={"n_clusters": 8})
+        query = ivf_query(uniform_vectors[3], 5, 2)
+        plan = index.plan(query)
+        searcher = index.searcher_for(plan.backend, query, plan.metric)
+        assert searcher.store is index.decomposed
+        assert index.ivf_partitions is index.cluster_plan
 
 
 # -- recall on clustered data -----------------------------------------------------

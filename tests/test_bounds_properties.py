@@ -173,3 +173,51 @@ def test_lemma_bounds_bracket_random_feasible_vectors(query, total, seed):
     upper = lemma1_upper_bound(query, np.array([vector.sum()]))[0]
     lower = lemma2_lower_bound(query, np.array([vector.sum()]))[0]
     assert lower - TOLERANCE <= distance <= upper + TOLERANCE
+
+
+def _lemma1_with_masks(remaining_query: np.ndarray, remaining_sums: np.ndarray) -> np.ndarray:
+    """The boolean-mask form of Lemma 1: the reference the gather form must match bitwise."""
+    num_remaining = remaining_query.shape[0]
+    query_sorted = np.sort(remaining_query)[::-1]
+    prefix_q2 = np.concatenate([[0.0], np.cumsum(query_sorted * query_sorted)])
+    suffix_1m = np.concatenate([np.cumsum(((1.0 - query_sorted) ** 2)[::-1])[::-1], [0.0]])
+    clipped = np.clip(remaining_sums, 0.0, float(num_remaining))
+    filled = np.floor(clipped).astype(np.int64)
+    fractional = clipped - filled
+    fractional_position = num_remaining - filled
+    bounds = np.empty_like(clipped)
+    all_filled = fractional_position == 0
+    bounds[all_filled] = suffix_1m[0]
+    partial = ~all_filled
+    if np.any(partial):
+        positions = fractional_position[partial]
+        bounds[partial] = (
+            prefix_q2[positions - 1]
+            + (fractional[partial] - query_sorted[positions - 1]) ** 2
+            + suffix_1m[positions]
+        )
+    return bounds
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    query=arrays(np.float64, st.integers(1, 12), elements=st.floats(0.0, 1.0)),
+    sums=arrays(
+        np.float64,
+        st.integers(1, 30),
+        elements=st.one_of(
+            st.floats(0.0, 14.0),
+            st.integers(0, 14).map(float),  # integer T, T = 0 and T >= R
+        ),
+    ),
+)
+def test_lemma1_gather_form_is_bitwise_the_mask_form(query, sums):
+    """Every candidate (T = 0, integer T, T >= R, R = 1) gets the same float."""
+    expected = _lemma1_with_masks(query, sums)
+    assert np.array_equal(lemma1_upper_bound(query, sums), expected)
+
+
+def test_lemma1_gather_form_corner_cases():
+    query = np.array([0.7])  # R = 1
+    sums = np.array([0.0, 0.25, 1.0, 3.0])
+    assert np.array_equal(lemma1_upper_bound(query, sums), _lemma1_with_masks(query, sums))

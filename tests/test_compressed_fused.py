@@ -12,6 +12,8 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.baselines.vafile import VAFile
 from repro.core import rounds
@@ -281,6 +283,62 @@ class TestNoFalseDismissalProperty:
         for engine in ("loop", "fused"):
             searcher = CompressedBondSearcher(store, metric=metric, engine=engine)
             assert results_bitwise_equal(searcher.search(query, 10), reference)
+
+
+def partition_prune_mask(searcher, query, order, processed, lower, upper, k, weights):
+    """The prune test evaluated in full: select kappa, compare every candidate."""
+    count = lower.shape[0]
+    if count <= k:
+        return np.ones(count, dtype=bool)
+    remaining = order[processed:]
+    remaining_query = query[remaining]
+    if not searcher.metric.contributions_are_distances:
+        kappa = np.partition(lower, count - k)[count - k]
+        return upper + float(remaining_query.sum()) >= kappa
+    store = searcher.store
+    edge = np.maximum(
+        remaining_query - store.minimums[remaining], store.maximums[remaining] - remaining_query
+    )
+    squared = edge * edge if weights is None else weights[remaining] * (edge * edge)
+    kappa = np.partition(upper + float(np.sum(squared)), k - 1)[k - 1]
+    return lower <= kappa
+
+
+class TestPruneMaskShortcut:
+    """Attempts that provably prune nothing skip the selection, nothing else."""
+
+    @pytest.mark.parametrize("metric_index", [0, 1, 2])
+    @given(
+        seed=st.integers(0, 2**31 - 1),
+        count=st.integers(1, 60),
+        k=st.integers(1, 12),
+        processed=st.integers(0, 16),
+        spread=st.sampled_from([0.0, 1e-3, 0.1, 1.0, 10.0]),
+        width=st.sampled_from([0.0, 1e-3, 0.1, 1.0]),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_mask_equals_the_full_partition_mask(
+        self, metric_index, seed, count, k, processed, spread, width
+    ):
+        rng = np.random.default_rng(seed)
+        data = rng.random((40, 16))
+        metric = metrics_for(16)[metric_index]
+        if metric_index == 0:
+            data /= data.sum(axis=1, keepdims=True)
+        searcher = CompressedBondSearcher(make_store(data), metric=metric)
+        query = data[int(rng.integers(40))]
+        order = rng.permutation(16).astype(np.int64)
+        lower = rng.random(count) * spread
+        upper = lower + rng.random(count) * width
+        weights = getattr(metric, "weights", None)
+        expected = partition_prune_mask(searcher, query, order, processed, lower, upper, k, weights)
+        before = searcher.store.cost.snapshot()
+        keep = searcher._prune_mask(query, order, processed, lower, upper, k, weights)
+        charged = searcher.store.cost.delta_since(before)
+        assert np.array_equal(keep, expected)
+        pruning = count > k
+        assert charged.heap_operations == (count if pruning else 0)
+        assert charged.comparisons == (count if pruning else 0)
 
 
 class TestFullScanAccounting:
